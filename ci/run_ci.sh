@@ -29,7 +29,10 @@
 #      verbs + negotiation + golden v1 byte corpus, SIGKILL/resume and
 #      recompute-equals-fresh-batch e2e) in the Release, ASan and TSan
 #      builds, plus the streaming-latency/durability bench which writes
-#      BENCH_stream.json and fails on any lost acked upsert.
+#      BENCH_stream.json and fails on any lost acked upsert;
+#   9. the wire-level end-to-end benchmark's smoke test (every workload
+#      at a tiny size in both trace modes, plus a corrupted reference
+#      per correctness check that must be caught).
 # Any failure fails the script.
 set -euo pipefail
 
@@ -130,6 +133,13 @@ CERTA_BENCH_OBS_JSON="${REPO_ROOT}/BENCH_obs.json" \
 echo "== Streaming latency + durability bench =="
 CERTA_BENCH_STREAM_JSON="${REPO_ROOT}/BENCH_stream.json" \
   "${REPO_ROOT}/build-ci/bench/bench_stream"
+
+# End-to-end benchmark smoke test: builds `certa` and the load generator
+# into .bench_build/, runs every workload through real `certa serve`
+# processes, and checks that each correctness check catches a corrupted
+# reference (about a minute once built).
+echo "== End-to-end benchmark smoke test =="
+python3 "${REPO_ROOT}/e2ebench/smoke_test.py"
 
 # Scale smoke: candidate-index speedup + store warm-hit verification,
 # including the 2-worker shared-store leg (stream 1 must rerun the job

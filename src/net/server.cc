@@ -518,6 +518,9 @@ void NetServer::HandleSubmit(Conn* conn, const ClientFrame& frame) {
       case service::JobRunner::RejectCode::kDeadline:
         code = kErrRejectedDeadline;
         break;
+      case service::JobRunner::RejectCode::kStorage:
+        code = kErrRejectedStorage;
+        break;
       default:
         break;
     }
@@ -649,26 +652,28 @@ void NetServer::HandleResult(Conn* conn, const std::string& job_id) {
                /*droppable=*/false);
     return;
   }
-  std::string result_json = outcome.result_json;
-  if (state == service::JobQueryState::kUnknown || result_json.empty()) {
-    // Jobs from a previous server life — or a sibling worker's
-    // partition — are still servable from disk: the job dir is the
-    // durable source of truth.
+  // The runner retains outcome summaries only, so result.json in the
+  // job dir is the one copy of a result. Jobs from a previous server
+  // life — or a sibling worker's partition — are found on disk the
+  // same way: the job dir is the durable source of truth.
+  std::string job_dir = outcome.job_dir;
+  if (job_dir.empty()) {
     std::string disk_state;
-    const std::string job_dir = FindJobOnDisk(job_id, &disk_state);
-    std::string path = job_dir.empty()
-                           ? options_.runner.job_root + "/" + job_id +
-                                 "/result.json"
-                           : persist::ResultPathInDir(job_dir);
-    if (!util::ReadFileToString(path, &result_json) || result_json.empty()) {
-      QueueFrame(conn,
-                 ErrorFrame(kErrUnknownJob,
-                            "no job named \"" + job_id +
-                                "\" and no stored result at " + path,
-                            job_id, version),
-                 /*droppable=*/false);
-      return;
-    }
+    job_dir = FindJobOnDisk(job_id, &disk_state);
+  }
+  const std::string path =
+      job_dir.empty() ? options_.runner.job_root + "/" + job_id +
+                            "/result.json"
+                      : persist::ResultPathInDir(job_dir);
+  std::string result_json;
+  if (!util::ReadFileToString(path, &result_json) || result_json.empty()) {
+    QueueFrame(conn,
+               ErrorFrame(kErrUnknownJob,
+                          "no job named \"" + job_id +
+                              "\" and no stored result at " + path,
+                          job_id, version),
+               /*droppable=*/false);
+    return;
   }
   // result.json is written with a trailing newline; the frame supplies
   // its own line terminator.

@@ -40,6 +40,7 @@ inline constexpr char kErrUnsupportedSchema[] = "unsupported_schema";
 inline constexpr char kErrRejectedQueueFull[] = "rejected_queue_full";
 inline constexpr char kErrRejectedClosed[] = "rejected_closed";
 inline constexpr char kErrRejectedDeadline[] = "rejected_deadline";
+inline constexpr char kErrRejectedStorage[] = "rejected_storage";
 inline constexpr char kErrUnknownJob[] = "unknown_job";
 inline constexpr char kErrNotComplete[] = "not_complete";
 inline constexpr char kErrFrameTooLarge[] = "frame_too_large";

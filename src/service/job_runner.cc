@@ -10,6 +10,7 @@
 #include "data/benchmarks.h"
 #include "data/csv.h"
 #include "data/dataset.h"
+#include "models/matcher_cache.h"
 #include "models/trainer.h"
 #include "persist/dir_lock.h"
 #include "persist/journal.h"
@@ -33,55 +34,6 @@ persist::JobCheckpoint CheckpointFromSpec(const JobSpec& spec) {
   persist::JobCheckpoint checkpoint;
   checkpoint.request = spec;
   return checkpoint;
-}
-
-/// Content fingerprint of the *training inputs* a model was trained on
-/// — the model half of a score-store key. Training is seeded and
-/// deterministic, and every Fit implementation reads exactly the train
-/// pairs plus the records those pairs reference (models/trainer.cc),
-/// so (model kind, training inputs) pins the matcher's parameters
-/// exactly. Hashing record contents (not the dataset code or path)
-/// means a store entry can never be served to a model trained on
-/// different data that happens to share a name — while records outside
-/// the train set (streaming upserts of test-side rows) leave the
-/// fingerprint unchanged, so a mutated dataset keeps sharing every
-/// paid score its unchanged model can still vouch for. (Stale pair
-/// scores are impossible regardless: models::PairKey hashes the pair's
-/// record contents.)
-uint64_t DatasetFingerprint(const data::Dataset& dataset) {
-  uint64_t hash = 1469598103934665603ULL;
-  auto mix = [&hash](const std::string& value) {
-    for (char c : value) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ULL;
-    }
-    hash ^= 0x1F;
-    hash *= 1099511628211ULL;
-  };
-  auto mix_int = [&hash](long long value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= static_cast<unsigned char>(value >> (8 * i));
-      hash *= 1099511628211ULL;
-    }
-  };
-  for (const data::Table* table : {&dataset.left, &dataset.right}) {
-    for (const std::string& name : table->schema().names()) mix(name);
-  }
-  mix_int(static_cast<long long>(dataset.train.size()));
-  for (const data::LabeledPair& pair : dataset.train) {
-    mix_int(pair.left_index);
-    mix_int(pair.right_index);
-    mix_int(pair.label);
-    for (const std::string& value :
-         dataset.left.record(pair.left_index).values) {
-      mix(value);
-    }
-    for (const std::string& value :
-         dataset.right.record(pair.right_index).values) {
-      mix(value);
-    }
-  }
-  return hash;
 }
 
 }  // namespace
@@ -236,9 +188,13 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
     }
   }
 
-  // -- model (training is seeded and deterministic: every run of this
-  // job dir scores with the identical matcher) --
-  std::unique_ptr<models::Matcher> model = models::TrainMatcher(kind, dataset);
+  // -- model: training is seeded and deterministic, so (kind, training
+  // inputs) is the matcher's identity. Its fingerprint keys both the
+  // process's trained-matcher cache and the score-store scope below. --
+  const uint64_t fingerprint = models::TrainingFingerprint(dataset);
+  const std::shared_ptr<const models::Matcher> model =
+      models::MatcherCache::Process().Get(kind, fingerprint, dataset,
+                                          options.metrics, options.trace);
 
   // -- durable run --
   persist::JobCheckpoint checkpoint = CheckpointFromSpec(spec);
@@ -294,12 +250,10 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
   explainer_options.trace = options.trace;
   explainer_options.use_candidate_index = options.use_candidate_index;
   if (options.store != nullptr && options.store->is_open()) {
-    // Scope store entries to (matcher id, model fingerprint): the
-    // deterministic trainer makes (kind, training data) the model's
-    // identity, so jobs over the same benchmark share paid scores
-    // while different models/data can never collide.
-    const uint64_t scope =
-        persist::HashScope(spec.model, DatasetFingerprint(dataset));
+    // Scope store entries to the model's identity, so jobs over the same
+    // benchmark share paid scores while different models/data can never
+    // collide.
+    const uint64_t scope = persist::HashScope(spec.model, fingerprint);
     persist::ScoreStore* store = options.store;
     // Start the run with the freshest view of sibling streams a shared
     // store can offer (no-op for a single-writer store).
@@ -368,7 +322,6 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
 
   outcome.result_json = core::CertaResultToJson(result, dataset.left.schema(),
                                                 dataset.right.schema());
-  outcome.result = std::move(result);
   if (!util::AtomicWriteFile(persist::ResultPathInDir(job_dir),
                              outcome.result_json)) {
     flush();
@@ -395,6 +348,7 @@ JobRunner::JobRunner(JobRunnerOptions options)
     metric_.rejected_closed = reg.counter("service.rejected.closed");
     metric_.rejected_queue_full = reg.counter("service.rejected.queue_full");
     metric_.rejected_deadline = reg.counter("service.rejected.deadline");
+    metric_.rejected_storage = reg.counter("service.rejected.storage");
     metric_.completed = reg.counter("service.jobs.completed");
     metric_.parked = reg.counter("service.jobs.parked");
     metric_.failed = reg.counter("service.jobs.failed");
@@ -478,19 +432,27 @@ JobRunner::SubmitResult JobRunner::Submit(JobSpec spec) {
     std::snprintf(id, sizeof(id), "job-%04d", next_job_number_++);
     spec.id = options_.job_id_prefix + id;
   }
-  ++counters_.accepted;
-  if (metric_.accepted != nullptr) metric_.accepted->Increment();
   // Durable admission: a spec-only checkpoint written before the accept
   // response means even a SIGKILL of this process loses nothing — the
   // resume sweep (or an adopting sibling worker) re-admits the job from
-  // disk exactly as it re-admits parked work.
+  // disk exactly as it re-admits parked work. A job that cannot get
+  // that checkpoint is refused rather than acked without it.
   std::string job_dir = options_.job_root + "/" + spec.id;
-  if (util::EnsureDirectory(job_dir)) {
-    persist::JobCheckpoint checkpoint = CheckpointFromSpec(spec);
-    checkpoint.state = "queued";
-    persist::SaveCheckpoint(persist::CheckpointPathInDir(job_dir),
-                            checkpoint);
+  persist::JobCheckpoint checkpoint = CheckpointFromSpec(spec);
+  checkpoint.state = "queued";
+  if (!util::EnsureDirectory(job_dir) ||
+      !persist::SaveCheckpoint(persist::CheckpointPathInDir(job_dir),
+                               checkpoint)) {
+    ++counters_.rejected_storage;
+    if (metric_.rejected_storage != nullptr) {
+      metric_.rejected_storage->Increment();
+    }
+    return {false, "",
+            "cannot persist the admission checkpoint in " + job_dir,
+            RejectCode::kStorage};
   }
+  ++counters_.accepted;
+  if (metric_.accepted != nullptr) metric_.accepted->Increment();
   queue_.push_back(QueuedJob{std::move(spec), NowMicros(),
                              std::move(job_dir)});
   if (metric_.queue_depth != nullptr) {
@@ -558,6 +520,8 @@ void JobRunner::WorkerLoop() {
       obs::TraceSpan job_span(options_.trace, "job:" + spec.id);
       if (job_dir.empty()) job_dir = options_.job_root + "/" + spec.id;
       outcome = RunDurableExplain(spec, job_dir, run_options);
+      // Retain the summary only; result.json is on disk.
+      outcome.result_json = std::string();
       job_span.AddArg("state", static_cast<long long>(outcome.state));
       job_span.AddArg("fresh_scores", outcome.fresh_scores);
       job_span.AddArg("replayed_scores", outcome.replayed_scores);

@@ -81,8 +81,10 @@ struct JobOutcome {
   /// for (absorbed from its stream in a shared store directory); 0
   /// outside shared-store fleet mode.
   long long store_peer_hits = 0;
-  /// Valid when state == kComplete.
-  core::CertaResult result;
+  /// The result.json document, as RunDurableExplain returns it when
+  /// state == kComplete. JobRunner retains summaries only: its outcomes
+  /// carry an empty result_json, and result.json in job_dir is the one
+  /// copy of a finished job's result.
   std::string result_json;
 };
 
@@ -238,13 +240,16 @@ class JobRunner {
     kClosed = 1,
     kQueueFull = 2,
     kDeadline = 3,
+    /// The admission checkpoint could not be written, so the job could
+    /// not be made durable before the ack.
+    kStorage = 4,
   };
 
   struct SubmitResult {
     bool accepted = false;
     std::string job_id;
     /// Why admission refused ("admission closed", "queue full ...",
-    /// "deadline unmeetable ...").
+    /// "deadline unmeetable ...", "cannot persist ...").
     std::string reason;
     RejectCode reject_code = RejectCode::kNone;
   };
@@ -255,6 +260,7 @@ class JobRunner {
     long long rejected_closed = 0;
     long long rejected_queue_full = 0;
     long long rejected_deadline = 0;
+    long long rejected_storage = 0;
     long long completed = 0;
     long long parked = 0;
     long long failed = 0;
@@ -293,7 +299,8 @@ class JobRunner {
   bool Cancel(const std::string& job_id, std::string* reason);
 
   Counters counters() const;
-  /// Terminal outcomes so far, in completion order.
+  /// Terminal outcomes so far, in completion order (summaries: see
+  /// JobOutcome::result_json).
   std::vector<JobOutcome> outcomes() const;
 
   /// Sweeps `partition_root` for job dirs whose checkpoint is not
@@ -356,6 +363,7 @@ class JobRunner {
     obs::Counter* rejected_closed = nullptr;
     obs::Counter* rejected_queue_full = nullptr;
     obs::Counter* rejected_deadline = nullptr;
+    obs::Counter* rejected_storage = nullptr;
     obs::Counter* completed = nullptr;
     obs::Counter* parked = nullptr;
     obs::Counter* failed = nullptr;

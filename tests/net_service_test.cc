@@ -365,6 +365,12 @@ TEST(NetServerTest, SubmitStreamsEventsThenServesVerbatimResult) {
     break;
   }
   ASSERT_TRUE(saw_terminal);
+  // The runner retains the outcome's summary, not its result payload.
+  const std::vector<service::JobOutcome> outcomes =
+      server->runner().outcomes();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].state, service::JobState::kComplete);
+  EXPECT_TRUE(outcomes[0].result_json.empty());
 
   ASSERT_TRUE(client.Send(ResultRequestFrame("s1")));
   ASSERT_TRUE(client.ReadFrame(&frame));
@@ -532,6 +538,29 @@ TEST(NetServerTest, QueueFullSubmissionsGetStableRejectCode) {
     ASSERT_TRUE(client.Send(CancelRequestFrame("q" + std::to_string(i))));
     ASSERT_TRUE(client.ReadFrame(&frame));
   }
+}
+
+TEST(NetServerTest, UnpersistableAdmissionGetsStableRejectCode) {
+  ScratchDir scratch("storage");
+  // A directory where the admission checkpoint goes makes its atomic
+  // rename fail (a permission-based setup would not: tests run as root).
+  fs::create_directories(
+      persist::CheckpointPathInDir(scratch.dir() + "/blocked"));
+  auto server = StartServer(BaseOptions(scratch.dir()));
+  TestClient client(server->port());
+  ASSERT_TRUE(client.connected());
+
+  ASSERT_TRUE(
+      client.Send(SubmitFrame(SmallRequest("blocked"), /*watch=*/false)));
+  JsonValue frame;
+  ASSERT_TRUE(client.ReadFrame(&frame));
+  ASSERT_EQ(FrameType(frame), "error");
+  EXPECT_EQ(FrameCode(frame), kErrRejectedStorage);
+  const service::JobRunner::Counters counters = server->runner().counters();
+  EXPECT_EQ(counters.rejected_storage, 1);
+  EXPECT_EQ(counters.accepted, 0);
+  EXPECT_EQ(server->runner().Query("blocked"),
+            service::JobQueryState::kUnknown);
 }
 
 TEST(NetServerTest, ConnectionCapAnswersThenHangsUp) {

@@ -26,6 +26,7 @@
 
 #include "data/benchmarks.h"
 #include "data/dataset.h"
+#include "util/json_parser.h"
 
 #ifndef CERTA_CLI_PATH
 #error "CERTA_CLI_PATH must be defined to the certa CLI binary path"
@@ -132,34 +133,49 @@ std::string ValuesFlag(int attributes, const std::string& token) {
   return "--values '" + values + "'";
 }
 
-TEST(StreamE2eTest, StaleRecomputeMatchesFreshRunByteForByte) {
+/// One stale recompute and the fresh batch run it must equal.
+struct RecomputeRun {
+  /// result.json after server A explained, saw the upsert, recomputed.
+  std::string recomputed;
+  /// result.json from server B, which applied the upsert first.
+  std::string fresh;
+  /// Server A's metrics snapshot, written at shutdown.
+  JsonValue metrics;
+};
+
+/// Server A explains AB test pair `pair_index`, then an upsert rewrites
+/// the pair's left record and a refetch makes the job recompute. Server
+/// B applies the same upsert before the job ever runs: a fresh batch
+/// run over the mutated records, in a process of its own.
+void RunStaleRecompute(const std::string& tag, int pair_index,
+                       RecomputeRun* run) {
   const data::Dataset base = data::MakeBenchmark("AB");
-  const data::LabeledPair& pair = base.test[0];
+  const data::LabeledPair& pair =
+      base.test[static_cast<size_t>(pair_index)];
   const int left_id = base.left.record(pair.left_index).id;
   const int attributes = base.left.schema().size();
   const std::string upsert_args =
       "upsert --dataset AB --side left --record " + std::to_string(left_id) +
       " " + ValuesFlag(attributes, "drifted attribute value");
+  const std::string submit_args =
+      "submit --id live --dataset AB --model svm --pair " +
+      std::to_string(pair_index) + " --triangles 20";
 
   // Server A: explain first, then mutate, then refetch — the stale
   // recompute path.
-  const fs::path root_a = Scratch("stale_a");
+  const fs::path root_a = Scratch(tag + "_a");
   const fs::path log_a = root_a / "server.log";
   pid_t server_a = SpawnServer(
       {"--listen", "0", "--job-root", (root_a / "jobs").string(),
-       "--stream-dir", (root_a / "stream").string(), "--workers", "1"},
+       "--stream-dir", (root_a / "stream").string(), "--workers", "1",
+       "--metrics-out", (root_a / "metrics.json").string()},
       log_a);
   ASSERT_GT(server_a, 0);
   const int port_a = WaitForPort(log_a);
   ASSERT_GT(port_a, 0) << ReadAll(log_a);
 
   std::string output;
-  ASSERT_EQ(RunShell(ClientCmd(port_a,
-                               "submit --id live --dataset AB --model svm "
-                               "--pair 0 --triangles 20"),
-                     &output),
-            0)
-      << output;
+  ASSERT_EQ(RunShell(ClientCmd(port_a, submit_args), &output), 0) << output;
   ASSERT_NE(output.find("\"type\":\"result\""), std::string::npos) << output;
 
   ASSERT_EQ(RunShell(ClientCmd(port_a, upsert_args), &output), 0) << output;
@@ -174,9 +190,8 @@ TEST(StreamE2eTest, StaleRecomputeMatchesFreshRunByteForByte) {
   EXPECT_NE(output.find("stale"), std::string::npos)
       << "expected the stale notice on stderr: " << output;
 
-  // Server B: the same mutation applied BEFORE the job ever runs — a
-  // fresh batch run over the mutated records.
-  const fs::path root_b = Scratch("stale_b");
+  // Server B: the same mutation applied BEFORE the job ever runs.
+  const fs::path root_b = Scratch(tag + "_b");
   const fs::path log_b = root_b / "server.log";
   pid_t server_b = SpawnServer(
       {"--listen", "0", "--job-root", (root_b / "jobs").string(),
@@ -187,25 +202,69 @@ TEST(StreamE2eTest, StaleRecomputeMatchesFreshRunByteForByte) {
   ASSERT_GT(port_b, 0) << ReadAll(log_b);
 
   ASSERT_EQ(RunShell(ClientCmd(port_b, upsert_args), &output), 0) << output;
-  ASSERT_EQ(RunShell(ClientCmd(port_b,
-                               "submit --id live --dataset AB --model svm "
-                               "--pair 0 --triangles 20"),
-                     &output),
-            0)
-      << output;
+  ASSERT_EQ(RunShell(ClientCmd(port_b, submit_args), &output), 0) << output;
 
   // Single-process serve exits kInterruptedExitCode (3) on SIGTERM.
   EXPECT_EQ(StopServer(server_a, SIGTERM), 3) << ReadAll(log_a);
   EXPECT_EQ(StopServer(server_b, SIGTERM), 3) << ReadAll(log_b);
 
-  const std::string recomputed =
-      ReadAll(root_a / "jobs" / "live" / "result.json");
-  const std::string fresh = ReadAll(root_b / "jobs" / "live" / "result.json");
-  ASSERT_FALSE(recomputed.empty());
-  ASSERT_FALSE(fresh.empty());
+  run->recomputed = ReadAll(root_a / "jobs" / "live" / "result.json");
+  run->fresh = ReadAll(root_b / "jobs" / "live" / "result.json");
+  ASSERT_FALSE(run->recomputed.empty());
+  ASSERT_FALSE(run->fresh.empty());
+  std::string error;
+  ASSERT_TRUE(
+      JsonValue::Parse(ReadAll(root_a / "metrics.json"), &run->metrics, &error))
+      << error;
+}
+
+long long CounterOf(const JsonValue& metrics, const std::string& name) {
+  const JsonValue* counters = metrics.Find("counters");
+  const JsonValue* value =
+      counters != nullptr ? counters->Find(name) : nullptr;
+  return value != nullptr && value->is_integer() ? value->int_value() : 0;
+}
+
+/// True when a train pair references left record `left_index`.
+bool TrainsOnLeft(const data::Dataset& dataset, int left_index) {
+  for (const data::LabeledPair& pair : dataset.train) {
+    if (pair.left_index == left_index) return true;
+  }
+  return false;
+}
+
+TEST(StreamE2eTest, StaleRecomputeMatchesFreshRunByteForByte) {
+  const data::Dataset base = data::MakeBenchmark("AB");
+  ASSERT_TRUE(TrainsOnLeft(base, base.test[0].left_index));
+  RecomputeRun run;
+  ASSERT_NO_FATAL_FAILURE(RunStaleRecompute("stale", 0, &run));
   // The acceptance criterion: recompute-after-mutation equals a fresh
   // run over the same mutated records, byte for byte.
-  EXPECT_EQ(Chomp(recomputed), Chomp(fresh));
+  EXPECT_EQ(Chomp(run.recomputed), Chomp(run.fresh));
+  // A train pair references the upserted record, so the training inputs
+  // changed: the recompute trained a new model instead of reusing the
+  // first run's.
+  EXPECT_EQ(CounterOf(run.metrics, "models.matcher_cache.misses"), 2);
+  EXPECT_EQ(CounterOf(run.metrics, "models.matcher_cache.hits"), 0);
+}
+
+TEST(StreamE2eTest, TestSideUpsertReusesModelAndMatchesFreshRun) {
+  const data::Dataset base = data::MakeBenchmark("AB");
+  int pair_index = 0;
+  while (pair_index < static_cast<int>(base.test.size()) &&
+         TrainsOnLeft(base, base.test[static_cast<size_t>(pair_index)]
+                                .left_index)) {
+    ++pair_index;
+  }
+  ASSERT_LT(pair_index, static_cast<int>(base.test.size()))
+      << "every AB test pair shares its left record with a train pair";
+  RecomputeRun run;
+  ASSERT_NO_FATAL_FAILURE(RunStaleRecompute("test_side", pair_index, &run));
+  EXPECT_EQ(Chomp(run.recomputed), Chomp(run.fresh));
+  // No train pair references the upserted record: the recompute reuses
+  // the model the first run trained.
+  EXPECT_EQ(CounterOf(run.metrics, "models.matcher_cache.misses"), 1);
+  EXPECT_EQ(CounterOf(run.metrics, "models.matcher_cache.hits"), 1);
 }
 
 TEST(StreamE2eTest, SigkillLosesNoAckedUpsert) {
