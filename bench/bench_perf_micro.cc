@@ -143,7 +143,7 @@ BENCHMARK(BM_ModelScore);
 
 void BM_CertaExplainCached(benchmark::State& state) {
   // Warm-cache regime: how the evaluation harness actually runs, where
-  // repeated perturbations hit the CachingMatcher.
+  // repeated perturbations hit the scoring engine's prediction cache.
   Fixture& fixture = GetFixture();
   certa::core::CertaExplainer::Options options;
   options.num_triangles = static_cast<int>(state.range(0));

@@ -12,6 +12,7 @@
 
 #include "core/certa_explainer.h"
 #include "data/benchmarks.h"
+#include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -71,7 +72,7 @@ int main() {
                    3)
             << "\n";
 
-  certa::models::CachingMatcher cached(&matcher);
+  certa::models::ScoringEngine cached(&matcher);
   certa::explain::ExplainContext context{&cached, &dataset.left,
                                          &dataset.right};
   certa::core::CertaExplainer explainer(context);

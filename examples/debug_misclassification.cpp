@@ -14,6 +14,7 @@
 #include "explain/landmark.h"
 #include "explain/mojito.h"
 #include "explain/shap.h"
+#include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "util/string_utils.h"
 #include "util/table_printer.h"
@@ -49,7 +50,7 @@ int main() {
   certa::data::Dataset dataset = certa::data::MakeBenchmark("AG");
   auto model = certa::models::TrainMatcher(
       certa::models::ModelKind::kDeepMatcher, dataset);
-  certa::models::CachingMatcher cached(model.get());
+  certa::models::ScoringEngine cached(model.get());
   certa::explain::ExplainContext context{&cached, &dataset.left,
                                          &dataset.right};
 

@@ -12,6 +12,7 @@
 #include "data/benchmarks.h"
 #include "data/blocking.h"
 #include "explain/report.h"
+#include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "util/string_utils.h"
 
@@ -36,7 +37,7 @@ int main() {
   // Stage 2 — matching: score each candidate with a trained model.
   auto model = certa::models::TrainMatcher(
       certa::models::ModelKind::kDeepMatcher, dataset);
-  certa::models::CachingMatcher cached(model.get());
+  certa::models::ScoringEngine cached(model.get());
   std::vector<std::pair<int, int>> matches;
   for (const auto& [li, ri] : candidates) {
     if (cached.Predict(dataset.left.record(li), dataset.right.record(ri))) {

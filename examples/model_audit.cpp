@@ -14,6 +14,7 @@
 #include "data/profiling.h"
 #include "explain/aggregate.h"
 #include "models/rule_model.h"
+#include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "util/string_utils.h"
 
@@ -41,7 +42,7 @@ int main() {
   // 3. The black box under audit.
   auto model = certa::models::TrainMatcher(
       certa::models::ModelKind::kDitto, dataset);
-  certa::models::CachingMatcher cached(model.get());
+  certa::models::ScoringEngine cached(model.get());
   std::cout << "\n=== black box under audit ===\n"
             << model->name() << " test F1 = "
             << certa::FormatDouble(

@@ -12,6 +12,7 @@
 
 #include "core/certa_explainer.h"
 #include "data/benchmarks.h"
+#include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "util/string_utils.h"
 #include "util/table_printer.h"
@@ -55,7 +56,7 @@ int main() {
 
   for (certa::models::ModelKind kind : certa::models::AllModelKinds()) {
     auto model = certa::models::TrainMatcher(kind, dataset);
-    certa::models::CachingMatcher cached(model.get());
+    certa::models::ScoringEngine cached(model.get());
     certa::explain::ExplainContext context{&cached, &dataset.left,
                                            &dataset.right};
     certa::core::CertaExplainer explainer(context);

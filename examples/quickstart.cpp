@@ -10,6 +10,7 @@
 
 #include "core/certa_explainer.h"
 #include "data/benchmarks.h"
+#include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "util/string_utils.h"
 
@@ -35,7 +36,7 @@ int main() {
 
   // 3. Wrap the model in a score cache (explanations re-score many
   //    perturbed copies) and build the explainer.
-  certa::models::CachingMatcher cached(model.get());
+  certa::models::ScoringEngine cached(model.get());
   certa::explain::ExplainContext context{&cached, &dataset.left,
                                          &dataset.right};
   certa::core::CertaExplainer certa(context);

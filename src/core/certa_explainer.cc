@@ -107,15 +107,6 @@ CertaResult CertaExplainer::Explain(const data::Record& u,
   explain::ExplainContext engine_context = context_;
   engine_context.model = &engine;
 
-  // Journal replay: seed the cache with every already-paid score. The
-  // prewarmed entries make the resumed run's model calls a subset of
-  // the original's while keeping counters and results bit-identical.
-  if (options_.replayed_scores != nullptr) {
-    for (const auto& [key, score] : *options_.replayed_scores) {
-      engine.Prewarm(key, score);
-    }
-  }
-
   // Observability: one span for the whole run plus one per phase, and
   // explain.phase.<name>.model_calls counters derived from the engine's
   // scores-computed stream. All of it is write-only — nothing below

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/lattice.h"
@@ -160,21 +159,14 @@ class CertaExplainer : public explain::SaliencyExplainer,
 
     // -- durability hooks (src/persist, docs/OPERATIONS.md) --
 
-    /// Journal replay: (pair-hash, score) entries seeded into the
-    /// per-Explain cache before any model call, so a resumed job skips
-    /// every already-paid call while producing a bit-identical result
-    /// (prewarmed entries count their first touch as a miss). Not
-    /// owned; must outlive Explain. Ignored when use_cache is false.
-    const std::vector<std::pair<models::PairKey, double>>* replayed_scores =
-        nullptr;
     /// Invoked once per freshly computed score, sequentially, in
     /// deterministic order — the write-ahead journal's feed.
     models::ScoringEngine::ScoreObserver score_observer;
-    /// Cross-job durable score store read-through (persist::ScoreStore
-    /// bound by the service/CLI layer): `store_probe` may serve a
-    /// cache miss without a model call, `store_write` records every
-    /// freshly computed score. Byte-identity with the hooks detached
-    /// is part of the engine contract — see
+    /// Durable read-through (bound by the service/CLI layer to the
+    /// job's journal on resume and the cross-job persist::ScoreStore):
+    /// `store_probe` may serve a cache miss without a model call,
+    /// `store_write` records every freshly computed score. Byte-identity
+    /// with the hooks detached is part of the engine contract — see
     /// models::ScoringEngine::Options.
     models::ScoringEngine::Options::StoreProbe store_probe;
     models::ScoringEngine::Options::StoreWrite store_write;

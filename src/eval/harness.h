@@ -26,8 +26,7 @@ struct Setup {
   std::unique_ptr<models::Matcher> model;
   /// Shared worker pool for the cell; null when options.num_threads <= 1.
   std::unique_ptr<util::ThreadPool> pool;
-  /// Thread-safe scoring layer every explainer call drains through
-  /// (replaces the old single-threaded CachingMatcher).
+  /// Thread-safe scoring layer every explainer call drains through.
   std::unique_ptr<models::ScoringEngine> engine;
   /// Deterministic fault injector installed as the explainer's model
   /// when options.fault_rate > 0; null otherwise. It wraps the raw

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <utility>
 
 #include "models/resilience.h"
 #include "util/logging.h"
@@ -79,12 +80,6 @@ void PredictionCache::CountStoreHit(bool peer) {
   }
 }
 
-void PredictionCache::BindViewMetrics(obs::Counter* view_hits,
-                                      obs::Counter* flush_locks) {
-  metric_view_hits_ = view_hits;
-  metric_flush_locks_ = flush_locks;
-}
-
 bool PredictionCache::Lookup(const PairKey& key, double* score) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -94,23 +89,15 @@ bool PredictionCache::Lookup(const PairKey& key, double* score) {
     if (metric_misses_ != nullptr) metric_misses_->Increment();
     return false;
   }
-  if (it->second.prewarmed) {
-    // First touch of a replayed entry: the uninterrupted run would
-    // have missed (then computed) here, so count a miss to keep the
-    // counter stream identical; the saved base call is the whole point.
-    it->second.prewarmed = false;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_misses_ != nullptr) metric_misses_->Increment();
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_hits_ != nullptr) metric_hits_->Increment();
-  }
-  *score = it->second.score;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (metric_hits_ != nullptr) metric_hits_->Increment();
+  *score = it->second;
   return true;
 }
 
-void PredictionCache::InsertLocked(Shard& shard, const PairKey& key,
-                                   double score) {
+void PredictionCache::Insert(const PairKey& key, double score) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.map.size() >= max_entries_per_shard_ &&
       shard.map.find(key) == shard.map.end()) {
     evictions_.fetch_add(static_cast<long long>(shard.map.size()),
@@ -120,82 +107,7 @@ void PredictionCache::InsertLocked(Shard& shard, const PairKey& key,
     }
     shard.map.clear();
   }
-  shard.map[key] = Entry{score, false};
-}
-
-void PredictionCache::Insert(const PairKey& key, double score) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  InsertLocked(shard, key, score);
-}
-
-bool PredictionCache::View::Lookup(const PairKey& key, double* score) {
-  auto it = local_.find(key);
-  if (it != local_.end()) {
-    // Lock-free hit: counts as an ordinary hit (the shards hold the
-    // same deterministic score) plus the view_hits marker.
-    cache_->hits_.fetch_add(1, std::memory_order_relaxed);
-    if (cache_->metric_hits_ != nullptr) cache_->metric_hits_->Increment();
-    if (cache_->metric_view_hits_ != nullptr) {
-      cache_->metric_view_hits_->Increment();
-    }
-    *score = it->second;
-    return true;
-  }
-  // Read through with the normal hit/miss (and prewarm first-touch)
-  // accounting, then remember the score locally.
-  if (!cache_->Lookup(key, score)) return false;
-  RememberLocal(key, *score);
-  return true;
-}
-
-void PredictionCache::View::Insert(const PairKey& key, double score) {
-  RememberLocal(key, score);
-  pending_.emplace_back(key, score);
-}
-
-void PredictionCache::View::RememberLocal(const PairKey& key, double score) {
-  // The local table mirrors the shard budget; clearing it only costs
-  // re-reads through the shards (deterministic: size-triggered).
-  if (local_.size() >= cache_->max_entries_per_shard_) local_.clear();
-  local_[key] = score;
-}
-
-void PredictionCache::View::Flush() {
-  if (pending_.empty()) return;
-  const size_t shards = cache_->shards_.size();
-  if (by_shard_.size() != shards) by_shard_.resize(shards);
-  for (const auto& entry : pending_) {
-    by_shard_[cache_->ShardIndex(entry.first)].push_back(entry);
-  }
-  pending_.clear();
-  for (size_t s = 0; s < shards; ++s) {
-    std::vector<std::pair<PairKey, double>>& entries = by_shard_[s];
-    if (entries.empty()) continue;
-    if (cache_->metric_flush_locks_ != nullptr) {
-      cache_->metric_flush_locks_->Increment();
-    }
-    Shard& shard = *cache_->shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Per-shard insertion order is preserved, so eviction points (and
-    // the eviction counters) match inserting each entry directly.
-    for (const auto& [key, score] : entries) {
-      cache_->InsertLocked(shard, key, score);
-    }
-    entries.clear();
-  }
-}
-
-void PredictionCache::Prewarm(const PairKey& key, double score) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.map.size() >= max_entries_per_shard_ &&
-      shard.map.find(key) == shard.map.end()) {
-    // Respect the shard budget even while seeding; dropping a replayed
-    // entry only costs a re-computation later.
-    return;
-  }
-  shard.map.emplace(key, Entry{score, true});
+  shard.map[key] = score;
 }
 
 PredictionCache::Stats PredictionCache::stats() const {
@@ -215,11 +127,27 @@ size_t PredictionCache::entry_count() const {
   return total;
 }
 
+namespace {
+
+/// Prediction-cache geometry of every engine.
+constexpr size_t kCacheShards = 16;
+constexpr size_t kMaxCacheEntriesPerShard = size_t{1} << 16;
+/// Batches smaller than this skip the pool (dispatch overhead would
+/// dominate the scoring work).
+constexpr size_t kMinParallelBatch = 8;
+/// Pairs per pool task when fanning a batch out. Deliberately
+/// independent of the worker count: chunk boundaries fix the base
+/// model's ScoreBatch slices (and hence its batch-local memoization
+/// reuse), so the total work is identical at any thread count —
+/// threads only change who runs a chunk.
+constexpr size_t kParallelChunk = 32;
+
+}  // namespace
+
 ScoringEngine::ScoringEngine(const Matcher* base, Options options)
     : base_(base),
-      options_(options),
-      cache_(options.cache_shards, options.max_cache_entries_per_shard),
-      view_(&cache_) {
+      options_(std::move(options)),
+      cache_(kCacheShards, kMaxCacheEntriesPerShard) {
   CERTA_CHECK(base != nullptr);
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;
@@ -230,57 +158,23 @@ ScoringEngine::ScoringEngine(const Matcher* base, Options options)
     metric_.batches = reg.counter("scoring.batches");
     metric_.pool_chunks = reg.counter("scoring.pool.chunks");
     metric_.scores_computed = reg.counter("scoring.scores.computed");
-    metric_.cache_contended = reg.counter("scoring.cache.contended_batches");
     cache_.BindMetrics(reg.counter("scoring.cache.hits"),
                        reg.counter("scoring.cache.misses"),
                        reg.counter("scoring.cache.evictions"),
                        reg.counter("scoring.cache.store_hits"),
                        reg.counter("scoring.cache.store_peer_hits"));
-    cache_.BindViewMetrics(reg.counter("scoring.cache.view_hits"),
-                           reg.counter("scoring.cache.flush_locks"));
   }
 }
-
-namespace {
-
-/// Scoped ownership of the engine's batched cache view: the winning
-/// batch probes/inserts lock-free and merges at scope exit (normal or
-/// exceptional); concurrent batches fall back to the locked path.
-class ViewLease {
- public:
-  ViewLease(bool enable_cache, PredictionCache::View* view,
-            std::atomic<bool>* busy, obs::Counter* contended)
-      : view_(view), busy_(busy) {
-    owned_ = enable_cache &&
-             !busy_->exchange(true, std::memory_order_acq_rel);
-    if (enable_cache && !owned_ && contended != nullptr) {
-      contended->Increment();
-    }
-  }
-  ~ViewLease() {
-    if (owned_) {
-      view_->Flush();
-      busy_->store(false, std::memory_order_release);
-    }
-  }
-  ViewLease(const ViewLease&) = delete;
-  ViewLease& operator=(const ViewLease&) = delete;
-
-  bool owned() const { return owned_; }
-
- private:
-  PredictionCache::View* view_;
-  std::atomic<bool>* busy_;
-  bool owned_ = false;
-};
-
-}  // namespace
 
 double ScoringEngine::Score(const data::Record& u,
                             const data::Record& v) const {
   if (!options_.enable_cache && !options_.observer &&
       !options_.store_probe && !options_.store_write) {
-    return base_->Score(u, v);
+    const double score = base_->Score(u, v);
+    if (metric_.scores_computed != nullptr) {
+      metric_.scores_computed->Increment();
+    }
+    return score;
   }
   PairKey key = HashPair(u, v);
   double score = 0.0;
@@ -304,66 +198,34 @@ double ScoringEngine::Score(const data::Record& u,
   return score;
 }
 
-std::vector<double> ScoringEngine::ScoreMisses(
-    const std::vector<RecordPair>& pairs) const {
-  if (pairs.empty()) return {};
-  util::ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->size() < 2 ||
-      pairs.size() < options_.min_parallel_batch) {
-    return base_->ScoreBatch(pairs);
-  }
-  const size_t chunk = std::max<size_t>(1, options_.parallel_chunk);
-  const size_t num_chunks = (pairs.size() + chunk - 1) / chunk;
-  if (metric_.pool_chunks != nullptr) {
-    metric_.pool_chunks->Add(static_cast<long long>(num_chunks));
-  }
-  std::vector<double> scores(pairs.size(), 0.0);
-  // ParallelFor tasks must not throw (a worker has nowhere to put the
-  // exception): capture the first one and rethrow on the calling
-  // thread, after every chunk has finished.
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  pool->ParallelFor(pairs.size(), chunk, [&](size_t begin, size_t end) {
-    try {
-      std::span<const RecordPair> slice(pairs.data() + begin, end - begin);
-      std::vector<double> chunk_scores = base_->ScoreBatch(slice);
-      std::copy(chunk_scores.begin(), chunk_scores.end(),
-                scores.begin() + static_cast<ptrdiff_t>(begin));
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-    }
-  });
-  if (error) std::rethrow_exception(error);
-  return scores;
-}
-
-void ScoringEngine::TryScoreMisses(const std::vector<RecordPair>& pairs,
-                                   std::vector<double>* scores,
-                                   std::vector<uint8_t>* ok,
-                                   bool* budget_exhausted) const {
+void ScoringEngine::ScoreMisses(const std::vector<RecordPair>& pairs,
+                                bool isolate_failures,
+                                std::vector<double>* scores,
+                                std::vector<uint8_t>* ok,
+                                bool* budget_exhausted) const {
   scores->assign(pairs.size(), 0.0);
   ok->assign(pairs.size(), 0);
   if (pairs.empty()) return;
   std::atomic<bool> exhausted{false};
 
-  // Scores [begin, end) with per-pair fault isolation: one batched base
-  // call first, then pair-by-pair for the chunk the error poisoned.
+  // Scores [begin, end): one batched base call, then — when isolating —
+  // pair by pair for the chunk a ScoringError poisoned.
   auto score_range = [&](size_t begin, size_t end) {
     std::span<const RecordPair> slice(pairs.data() + begin, end - begin);
     try {
-      std::vector<double> chunk_scores = base_->ScoreBatch(slice);
-      for (size_t i = 0; i < chunk_scores.size(); ++i) {
-        (*scores)[begin + i] = chunk_scores[i];
-        (*ok)[begin + i] = 1;
-      }
+      const std::vector<double> chunk_scores = base_->ScoreBatch(slice);
+      std::copy(chunk_scores.begin(), chunk_scores.end(),
+                scores->begin() + static_cast<ptrdiff_t>(begin));
+      std::fill(ok->begin() + static_cast<ptrdiff_t>(begin),
+                ok->begin() + static_cast<ptrdiff_t>(end), 1);
       return;
     } catch (const BudgetExhausted&) {
+      if (!isolate_failures) throw;
       // The batch was rejected (it no longer fits the budget); the
       // per-pair loop below salvages what the remaining budget covers.
       exhausted.store(true, std::memory_order_relaxed);
     } catch (const ScoringError&) {
-      // Fall through to per-pair isolation.
+      if (!isolate_failures) throw;
     }
     for (size_t i = begin; i < end; ++i) {
       try {
@@ -380,24 +242,27 @@ void ScoringEngine::TryScoreMisses(const std::vector<RecordPair>& pairs,
 
   util::ThreadPool* pool = options_.pool;
   if (pool == nullptr || pool->size() < 2 ||
-      pairs.size() < options_.min_parallel_batch) {
+      pairs.size() < kMinParallelBatch) {
     score_range(0, pairs.size());
   } else {
-    const size_t chunk = std::max<size_t>(1, options_.parallel_chunk);
-    const size_t num_chunks = (pairs.size() + chunk - 1) / chunk;
     if (metric_.pool_chunks != nullptr) {
-      metric_.pool_chunks->Add(static_cast<long long>(num_chunks));
+      metric_.pool_chunks->Add(static_cast<long long>(
+          (pairs.size() + kParallelChunk - 1) / kParallelChunk));
     }
+    // ParallelFor tasks must not throw (a worker has nowhere to put the
+    // exception): capture the first one and rethrow on the calling
+    // thread, after every chunk has finished.
     std::exception_ptr error;
     std::mutex error_mutex;
-    pool->ParallelFor(pairs.size(), chunk, [&](size_t begin, size_t end) {
-      try {
-        score_range(begin, end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
+    pool->ParallelFor(pairs.size(), kParallelChunk,
+                      [&](size_t begin, size_t end) {
+                        try {
+                          score_range(begin, end);
+                        } catch (...) {
+                          std::lock_guard<std::mutex> lock(error_mutex);
+                          if (!error) error = std::current_exception();
+                        }
+                      });
     if (error) std::rethrow_exception(error);
   }
   *budget_exhausted = exhausted.load(std::memory_order_relaxed);
@@ -432,10 +297,12 @@ BatchPlan MakePlan(std::span<const RecordPair> pairs) {
 
 }  // namespace
 
-std::vector<double> ScoringEngine::ScoreBatch(
-    std::span<const RecordPair> pairs) const {
-  std::vector<double> scores(pairs.size(), 0.0);
-  if (pairs.empty()) return scores;
+ScoringEngine::BatchOutcome ScoringEngine::RunBatch(
+    std::span<const RecordPair> pairs, bool isolate_failures) const {
+  BatchOutcome out;
+  out.scores.assign(pairs.size(), 0.0);
+  out.ok.assign(pairs.size(), 0);
+  if (pairs.empty()) return out;
   // Time the batch only when a live registry will consume the sample —
   // with observability off the clock reads are skipped too.
   const bool timed = metric_.batch_latency_us != nullptr &&
@@ -448,154 +315,58 @@ std::vector<double> ScoringEngine::ScoreBatch(
   }
   BatchPlan plan = MakePlan(pairs);
 
-  // One batch at a time owns the engine's thread-local-style view and
-  // probes/inserts without touching shard locks until the final flush;
-  // a losing concurrent batch takes the locked per-lookup path.
-  ViewLease lease(options_.enable_cache, &view_, &view_busy_,
-                  metric_.cache_contended);
-
-  // Cache probe phase (sequential, so counters stay deterministic).
-  // A miss the durable store can serve is remembered as a store fill:
-  // it skips the compute phase but is inserted in the same relative
-  // slot order as a computed miss, so the eviction sequence — and
-  // hence every counter in CertaResult — is identical with the store
+  // Probe phase (sequential, so counters stay deterministic). A miss
+  // the store can serve is remembered as a fill that is already ok: it
+  // skips the compute phase but is inserted in the same relative slot
+  // order as a computed miss, so the eviction sequence — and hence
+  // every counter in CertaResult — is identical with the store
   // detached.
-  std::vector<double> unique_scores(plan.unique_inputs.size(), 0.0);
-  std::vector<RecordPair> miss_pairs;
-  std::vector<size_t> fill_slots;          // ascending unique-slot order
-  std::vector<uint8_t> fill_from_store;    // parallel to fill_slots
-  for (size_t s = 0; s < plan.unique_inputs.size(); ++s) {
-    size_t input = plan.unique_inputs[s];
-    if (options_.enable_cache &&
-        (lease.owned() ? view_.Lookup(plan.keys[input], &unique_scores[s])
-                       : cache_.Lookup(plan.keys[input], &unique_scores[s]))) {
-      continue;
-    }
-    if (options_.store_probe) {
-      const int served =
-          options_.store_probe(plan.keys[input], &unique_scores[s]);
-      if (served != 0) {
-        cache_.CountStoreHit(/*peer=*/served == 2);
-        fill_slots.push_back(s);
-        fill_from_store.push_back(1);
-        continue;
-      }
-    }
-    miss_pairs.push_back(pairs[input]);
-    fill_slots.push_back(s);
-    fill_from_store.push_back(0);
-  }
-
-  // Compute phase (possibly parallel), then sequential insert phase.
-  // ScoreMisses throws on failure, so a failed batch never reaches the
-  // insert loop — the cache only ever holds scores the model produced.
-  std::vector<double> miss_scores = ScoreMisses(miss_pairs);
-  size_t next_miss = 0;
-  for (size_t f = 0; f < fill_slots.size(); ++f) {
-    const size_t s = fill_slots[f];
-    const bool from_store = fill_from_store[f] != 0;
-    if (!from_store) unique_scores[s] = miss_scores[next_miss++];
-    const PairKey& key = plan.keys[plan.unique_inputs[s]];
-    if (options_.enable_cache) {
-      if (lease.owned()) {
-        view_.Insert(key, unique_scores[s]);
-      } else {
-        cache_.Insert(key, unique_scores[s]);
-      }
-    }
-    if (from_store) continue;  // nothing fresh: observer/store stay quiet
-    if (options_.observer) options_.observer(key, unique_scores[s]);
-    if (options_.store_write) options_.store_write(key, unique_scores[s]);
-  }
-
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    scores[i] = unique_scores[plan.slot[i]];
-  }
-  if (metric_.scores_computed != nullptr) {
-    metric_.scores_computed->Add(static_cast<long long>(miss_pairs.size()));
-  }
-  if (timed) {
-    metric_.batch_latency_us->Record(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - batch_start)
-            .count()));
-  }
-  return scores;
-}
-
-ScoringEngine::BatchOutcome ScoringEngine::TryScoreBatch(
-    std::span<const RecordPair> pairs) const {
-  BatchOutcome out;
-  out.scores.assign(pairs.size(), 0.0);
-  out.ok.assign(pairs.size(), 0);
-  if (pairs.empty()) return out;
-  const bool timed = metric_.batch_latency_us != nullptr &&
-                     options_.metrics->enabled();
-  const auto batch_start = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point();
-  if (metric_.batches != nullptr) metric_.batches->Increment();
-  if (metric_.batch_size != nullptr) {
-    metric_.batch_size->Record(static_cast<double>(pairs.size()));
-  }
-  BatchPlan plan = MakePlan(pairs);
-
-  // Same single-owner view protocol as ScoreBatch.
-  ViewLease lease(options_.enable_cache, &view_, &view_busy_,
-                  metric_.cache_contended);
-
-  // Probe phase mirrors ScoreBatch: store-served misses are recorded
-  // as fills and inserted in slot order alongside computed misses, so
-  // cache counters match a store-detached run exactly.
   std::vector<double> unique_scores(plan.unique_inputs.size(), 0.0);
   std::vector<uint8_t> unique_ok(plan.unique_inputs.size(), 0);
   std::vector<RecordPair> miss_pairs;
-  std::vector<size_t> fill_slots;
-  std::vector<uint8_t> fill_from_store;
+  std::vector<size_t> fill_slots;  // ascending unique-slot order
   for (size_t s = 0; s < plan.unique_inputs.size(); ++s) {
-    size_t input = plan.unique_inputs[s];
+    const size_t input = plan.unique_inputs[s];
     if (options_.enable_cache &&
-        (lease.owned() ? view_.Lookup(plan.keys[input], &unique_scores[s])
-                       : cache_.Lookup(plan.keys[input], &unique_scores[s]))) {
+        cache_.Lookup(plan.keys[input], &unique_scores[s])) {
       unique_ok[s] = 1;
       continue;
     }
+    fill_slots.push_back(s);
     if (options_.store_probe) {
       const int served =
           options_.store_probe(plan.keys[input], &unique_scores[s]);
       if (served != 0) {
         cache_.CountStoreHit(/*peer=*/served == 2);
-        fill_slots.push_back(s);
-        fill_from_store.push_back(1);
+        unique_ok[s] = 1;
         continue;
       }
     }
     miss_pairs.push_back(pairs[input]);
-    fill_slots.push_back(s);
-    fill_from_store.push_back(0);
   }
 
+  // Compute phase (possibly parallel), then sequential insert phase.
+  // Without isolation a ScoringError leaves ScoreMisses before the
+  // insert loop; with it, failed pairs are skipped — either way the
+  // cache only ever holds scores the model produced.
   std::vector<double> miss_scores;
   std::vector<uint8_t> miss_ok;
-  TryScoreMisses(miss_pairs, &miss_scores, &miss_ok, &out.budget_exhausted);
+  ScoreMisses(miss_pairs, isolate_failures, &miss_scores, &miss_ok,
+              &out.budget_exhausted);
+  long long computed = 0;
   size_t next_miss = 0;
-  for (size_t f = 0; f < fill_slots.size(); ++f) {
-    const size_t s = fill_slots[f];
-    const bool from_store = fill_from_store[f] != 0;
+  for (const size_t s : fill_slots) {
+    const bool from_store = unique_ok[s] != 0;
     if (!from_store) {
       const size_t m = next_miss++;
-      if (!miss_ok[m]) continue;  // failed pairs never enter the cache
+      if (!miss_ok[m]) continue;
       unique_scores[s] = miss_scores[m];
+      unique_ok[s] = 1;
+      ++computed;
     }
-    unique_ok[s] = 1;
     const PairKey& key = plan.keys[plan.unique_inputs[s]];
-    if (options_.enable_cache) {
-      if (lease.owned()) {
-        view_.Insert(key, unique_scores[s]);
-      } else {
-        cache_.Insert(key, unique_scores[s]);
-      }
-    }
-    if (from_store) continue;
+    if (options_.enable_cache) cache_.Insert(key, unique_scores[s]);
+    if (from_store) continue;  // nothing fresh: observer/store stay quiet
     if (options_.observer) options_.observer(key, unique_scores[s]);
     if (options_.store_write) options_.store_write(key, unique_scores[s]);
   }
@@ -606,8 +377,6 @@ ScoringEngine::BatchOutcome ScoringEngine::TryScoreBatch(
     if (!out.ok[i]) ++out.failures;
   }
   if (metric_.scores_computed != nullptr) {
-    long long computed = 0;
-    for (uint8_t flag : miss_ok) computed += flag;
     metric_.scores_computed->Add(computed);
   }
   if (timed) {
@@ -619,9 +388,14 @@ ScoringEngine::BatchOutcome ScoringEngine::TryScoreBatch(
   return out;
 }
 
-void ScoringEngine::Prewarm(const PairKey& key, double score) const {
-  if (!options_.enable_cache) return;
-  cache_.Prewarm(key, score);
+std::vector<double> ScoringEngine::ScoreBatch(
+    std::span<const RecordPair> pairs) const {
+  return RunBatch(pairs, /*isolate_failures=*/false).scores;
+}
+
+ScoringEngine::BatchOutcome ScoringEngine::TryScoreBatch(
+    std::span<const RecordPair> pairs) const {
+  return RunBatch(pairs, /*isolate_failures=*/true);
 }
 
 PredictionCache::Stats ScoringEngine::cache_stats() const {

@@ -30,8 +30,8 @@ struct PairKey {
   }
 };
 
-/// Hashes the pair's attribute values with side/value separators (the
-/// same framing CachingMatcher uses for its string keys).
+/// Hashes the pair's attribute values with side/value separators, so
+/// ("ab","c") and ("a","bc") — and swapped sides — key differently.
 PairKey HashPair(const data::Record& u, const data::Record& v);
 
 /// Hash functor for PairKey-keyed maps (cache shards, batch dedupe,
@@ -44,8 +44,8 @@ struct PairKeyHasher {
 
 /// Sharded, thread-safe score cache. Each shard has its own mutex and
 /// map, so concurrent lookups from pool workers rarely contend. A shard
-/// that exceeds its entry budget is cleared wholesale (same policy as
-/// CachingMatcher), with the dropped entries counted as evictions.
+/// that exceeds its entry budget is cleared wholesale, with the dropped
+/// entries counted as evictions.
 class PredictionCache {
  public:
   struct Stats {
@@ -76,58 +76,7 @@ class PredictionCache {
                    obs::Counter* store_hits = nullptr,
                    obs::Counter* store_peer_hits = nullptr);
 
-  /// Hot-path instrumentation for the batched View below (both may be
-  /// null): `view_hits` counts lookups served lock-free from a view's
-  /// local table (these also count as ordinary hits), `flush_locks`
-  /// counts shard-mutex acquisitions made by View::Flush — the number
-  /// of times the whole batch touched a shard lock at all, versus one
-  /// lock per lookup/insert on the direct path.
-  void BindViewMetrics(obs::Counter* view_hits, obs::Counter* flush_locks);
-
-  /// Single-writer read-through view for one batch producer: lookups
-  /// are served from a local open-address table when possible (no shard
-  /// mutex), misses fall through to the shards with normal hit/miss
-  /// accounting, and inserts are buffered locally and merged into the
-  /// shards — each shard locked once — at batch boundaries via Flush().
-  ///
-  /// Determinism: for a single-threaded caller, the hit/miss/eviction
-  /// counter stream is identical to using Lookup/Insert directly
-  /// (pending inserts are applied per shard in insertion order, and the
-  /// engine's probe phase precedes its insert phase within a batch
-  /// anyway). The view itself is NOT thread-safe — it is the per-batch
-  /// single-writer arm of the cache; concurrent producers use the
-  /// locked path directly.
-  class View {
-   public:
-    explicit View(PredictionCache* cache) : cache_(cache) {}
-    View(const View&) = delete;
-    View& operator=(const View&) = delete;
-    ~View() { Flush(); }
-
-    /// True (and *score set) on a hit, served locally when possible.
-    bool Lookup(const PairKey& key, double* score);
-
-    /// Buffers the insert; visible to this view immediately and to the
-    /// shards (and hence other threads) after the next Flush.
-    void Insert(const PairKey& key, double score);
-
-    /// Merges every buffered insert into the shards, one lock per
-    /// touched shard, applying the normal eviction policy and counters.
-    void Flush();
-
-   private:
-    void RememberLocal(const PairKey& key, double score);
-
-    PredictionCache* cache_;
-    std::unordered_map<PairKey, double, PairKeyHasher> local_;
-    std::vector<std::pair<PairKey, double>> pending_;
-    /// Reusable per-shard grouping buffers for Flush.
-    std::vector<std::vector<std::pair<PairKey, double>>> by_shard_;
-  };
-
-  /// True (and *score set) on a hit. Counts one hit or one miss —
-  /// except on the *first* touch of a prewarmed entry, which returns
-  /// the score but counts a miss (see Prewarm).
+  /// True (and *score set) on a hit. Counts one hit or one miss.
   bool Lookup(const PairKey& key, double* score);
 
   /// Stores the score; overwriting an existing entry is harmless
@@ -140,27 +89,13 @@ class PredictionCache {
   /// store_peer_hit — the serving entry was paid by a sibling worker.
   void CountStoreHit(bool peer = false);
 
-  /// Seeds the cache with a replayed (journal) score without touching
-  /// the hit/miss counters. The entry is marked prewarmed: its first
-  /// Lookup still counts as a miss (the run being resumed would have
-  /// computed it there), so the counter stream of a resumed run is
-  /// bit-identical to an uninterrupted one — only the base-model call
-  /// is skipped. An existing entry is left untouched.
-  void Prewarm(const PairKey& key, double score);
-
   Stats stats() const;
   size_t entry_count() const;
 
  private:
-  struct Entry {
-    double score = 0.0;
-    /// Replayed, not yet touched: first Lookup counts a miss.
-    bool prewarmed = false;
-  };
-
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<PairKey, Entry, PairKeyHasher> map;
+    std::unordered_map<PairKey, double, PairKeyHasher> map;
   };
 
   size_t ShardIndex(const PairKey& key) const {
@@ -174,9 +109,6 @@ class PredictionCache {
 
   Shard& ShardFor(const PairKey& key) { return *shards_[ShardIndex(key)]; }
 
-  /// Insert body shared by Insert and View::Flush; `shard.mutex` held.
-  void InsertLocked(Shard& shard, const PairKey& key, double score);
-
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t max_entries_per_shard_;
   std::atomic<long long> hits_{0};
@@ -189,18 +121,18 @@ class PredictionCache {
   obs::Counter* metric_store_peer_hits_ = nullptr;
   obs::Counter* metric_misses_ = nullptr;
   obs::Counter* metric_evictions_ = nullptr;
-  obs::Counter* metric_view_hits_ = nullptr;
-  obs::Counter* metric_flush_locks_ = nullptr;
 };
 
 /// The batched + cached + pooled scoring layer every hot path drains
 /// through. Drops in anywhere a Matcher is expected:
 ///
-///   - Score(u, v): cache probe, then one base-model call on a miss.
-///   - ScoreBatch(pairs): dedupes identical pairs within the batch,
-///     probes the cache for each unique pair, scores the misses through
-///     the base model's ScoreBatch (split over the thread pool when one
-///     is attached), then inserts the new scores.
+///   - Score(u, v): cache probe, then store probe, then one base-model
+///     call on a miss.
+///   - ScoreBatch(pairs) / TryScoreBatch(pairs): one pipeline — dedupe
+///     identical pairs within the batch; probe the cache, then the
+///     store, for each unique pair; score the misses through the base
+///     model's ScoreBatch (in fixed chunks over the thread pool when
+///     one is attached); then insert the new scores.
 ///
 /// Every returned score is bit-identical to base->Score(u, v): the
 /// cache only ever stores values the deterministic base model produced,
@@ -211,44 +143,35 @@ class PredictionCache {
 class ScoringEngine : public Matcher {
  public:
   /// Durability hook: invoked once per freshly *computed* score (cache
-  /// hits and prewarmed replays never fire it), sequentially on the
+  /// hits and store-served scores never fire it), sequentially on the
   /// calling thread in input order, after the score is known good. The
-  /// write-ahead journal (src/persist) subscribes here; anything the
-  /// observer durably records can be Prewarm()ed into a later engine to
-  /// resume a killed job without re-paying the model call.
+  /// write-ahead journal (src/persist) subscribes here; a resumed job
+  /// serves what it recorded back through `store_probe`, so the killed
+  /// run's model calls are not paid twice.
   using ScoreObserver = std::function<void(const PairKey&, double)>;
 
   struct Options {
     /// Disable to measure the raw batched path (or to bound memory).
     bool enable_cache = true;
-    size_t cache_shards = 16;
-    size_t max_cache_entries_per_shard = 1 << 16;
     /// Not owned; nullptr scores misses inline on the calling thread.
     util::ThreadPool* pool = nullptr;
-    /// Batches smaller than this skip the pool (dispatch overhead would
-    /// dominate the scoring work).
-    size_t min_parallel_batch = 8;
-    /// Pairs per pool task when fanning a batch out. Deliberately
-    /// independent of the worker count: chunk boundaries fix the base
-    /// model's ScoreBatch slices (and hence its batch-local
-    /// memoization reuse), so the total work is identical at any thread
-    /// count — threads only change who runs a chunk.
-    size_t parallel_chunk = 32;
     /// Optional journal hook; empty = no observation overhead.
     ScoreObserver observer;
-    /// Durable read-through hooks (src/persist's ScoreStore binds
-    /// them): `store_probe` is consulted after a cache miss — nonzero
-    /// (and *score set) serves the miss without a base-model call —
-    /// and `store_write` is invoked once per freshly computed score,
-    /// right after `observer`, on the calling thread in input order.
-    /// The probe's return value says who paid for the score: 0 = miss,
-    /// 1 = this worker's own store entry, 2 = an entry absorbed from a
-    /// sibling worker sharing the store directory (tallied as
-    /// store_peer_hits on top of store_hits). A bool-returning lambda
-    /// still converts — false/true map to 0/1. Store-served scores
-    /// keep the hit/miss/eviction counter stream and every result byte
-    /// identical to computing (the store only holds values the
-    /// deterministic model produced); they are tallied separately as
+    /// Durable read-through hooks (the job's journal on resume and
+    /// src/persist's ScoreStore bind them): `store_probe` is consulted
+    /// after a cache miss — nonzero (and *score set) serves the miss
+    /// without a base-model call — and `store_write` is invoked once
+    /// per freshly computed score, right after `observer`, on the
+    /// calling thread in input order. The probe's return value says
+    /// who paid for the score: 0 = miss, 1 = this worker (its journal
+    /// or its own store entry), 2 = an entry absorbed from a sibling
+    /// worker sharing the store directory (tallied as store_peer_hits
+    /// on top of store_hits). A bool-returning lambda still converts —
+    /// false/true map to 0/1. Store-served scores are inserted into the
+    /// cache exactly where a computed score would be, so they keep the
+    /// hit/miss/eviction counter stream and every result byte identical
+    /// to computing (durable state only holds values the deterministic
+    /// model produced); they are tallied separately as
     /// PredictionCache::Stats::store_hits.
     using StoreProbe = std::function<int(const PairKey&, double*)>;
     using StoreWrite = std::function<void(const PairKey&, double)>;
@@ -281,6 +204,8 @@ class ScoringEngine : public Matcher {
   };
 
   double Score(const data::Record& u, const data::Record& v) const override;
+  /// Rethrows the first ScoringError of the batch before any of its
+  /// scores enters the cache.
   std::vector<double> ScoreBatch(
       std::span<const RecordPair> pairs) const override;
   std::string name() const override { return base_->name(); }
@@ -292,29 +217,26 @@ class ScoringEngine : public Matcher {
   /// Errors other than ScoringError still propagate.
   BatchOutcome TryScoreBatch(std::span<const RecordPair> pairs) const;
 
-  /// Seeds the prediction cache with a replayed score (no-op with the
-  /// cache disabled — there is nowhere to put it). See
-  /// PredictionCache::Prewarm for the first-touch-counts-as-miss
-  /// accounting that keeps resumed runs bit-identical.
-  void Prewarm(const PairKey& key, double score) const;
-
   PredictionCache::Stats cache_stats() const;
   const Options& options() const { return options_; }
   const Matcher* base() const { return base_; }
 
  private:
-  /// Scores `pairs` through the base model, fanning chunks out over the
-  /// pool when the batch is large enough. Results are ordered by input
-  /// index regardless of which worker scored them. A ScoringError (or
-  /// any other exception) from a pooled chunk is captured on the worker
-  /// and rethrown here — never propagated through the pool.
-  std::vector<double> ScoreMisses(const std::vector<RecordPair>& pairs) const;
+  /// The batch pipeline behind ScoreBatch and TryScoreBatch;
+  /// `isolate_failures` selects TryScoreBatch's error contract.
+  BatchOutcome RunBatch(std::span<const RecordPair> pairs,
+                        bool isolate_failures) const;
 
-  /// Fault-tolerant variant: per-pair ok flags instead of exceptions
-  /// for ScoringError failures.
-  void TryScoreMisses(const std::vector<RecordPair>& pairs,
-                      std::vector<double>* scores, std::vector<uint8_t>* ok,
-                      bool* budget_exhausted) const;
+  /// Scores `pairs` through the base model, fanning fixed-size chunks
+  /// out over the pool when the batch is large enough; results land by
+  /// input index regardless of which worker scored them. A ScoringError
+  /// is rethrown (after every chunk finished) unless `isolate_failures`,
+  /// in which case the poisoned chunk is re-scored pair by pair and
+  /// `ok` marks the survivors. Any other exception is captured on the
+  /// worker and rethrown here — never propagated through the pool.
+  void ScoreMisses(const std::vector<RecordPair>& pairs,
+                   bool isolate_failures, std::vector<double>* scores,
+                   std::vector<uint8_t>* ok, bool* budget_exhausted) const;
 
   /// Registry handles, resolved once in the constructor (all null when
   /// Options::metrics is null).
@@ -324,21 +246,11 @@ class ScoringEngine : public Matcher {
     obs::Counter* batches = nullptr;
     obs::Counter* pool_chunks = nullptr;
     obs::Counter* scores_computed = nullptr;
-    /// Batches that found the view taken by a concurrent producer and
-    /// fell back to the locked per-lookup path (shard contention
-    /// indicator; always 0 for a single-threaded caller).
-    obs::Counter* cache_contended = nullptr;
   };
 
   const Matcher* base_;
   Options options_;
   mutable PredictionCache cache_;
-  /// Single-writer batched cache arm: the batch that wins `view_busy_`
-  /// probes and inserts through `view_` (no shard locks on hits, one
-  /// lock per shard at flush); losers — only possible with concurrent
-  /// external callers — use the locked path and count cache_contended.
-  mutable PredictionCache::View view_;
-  mutable std::atomic<bool> view_busy_{false};
   MetricHandles metric_;
 };
 

@@ -1,7 +1,5 @@
 #include "models/trainer.h"
 
-#include <unordered_map>
-
 #include "ml/metrics.h"
 #include "models/deeper_model.h"
 #include "models/deepmatcher_model.h"
@@ -122,39 +120,6 @@ double EvaluateF1(const Matcher& matcher, const data::Table& left,
                               : 0);
   }
   return ml::F1Score(labels, predictions);
-}
-
-CachingMatcher::CachingMatcher(const Matcher* base, size_t max_entries)
-    : base_(base), max_entries_(max_entries) {
-  CERTA_CHECK(base != nullptr);
-}
-
-double CachingMatcher::Score(const data::Record& u,
-                             const data::Record& v) const {
-  std::string key;
-  size_t total = 2;
-  for (const std::string& value : u.values) total += value.size() + 1;
-  for (const std::string& value : v.values) total += value.size() + 1;
-  key.reserve(total);
-  for (const std::string& value : u.values) {
-    key += value;
-    key.push_back('\x1f');
-  }
-  key.push_back('\x1e');
-  for (const std::string& value : v.values) {
-    key += value;
-    key.push_back('\x1f');
-  }
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  if (cache_.size() >= max_entries_) cache_.clear();
-  double score = base_->Score(u, v);
-  cache_.emplace(std::move(key), score);
-  ++misses_;
-  return score;
 }
 
 }  // namespace certa::models

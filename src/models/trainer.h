@@ -2,7 +2,6 @@
 #define CERTA_MODELS_TRAINER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <string>
 #include <vector>
 
@@ -47,32 +46,6 @@ std::unique_ptr<Matcher> LoadMatcher(const std::string& path,
 double EvaluateF1(const Matcher& matcher, const data::Table& left,
                   const data::Table& right,
                   const std::vector<data::LabeledPair>& pairs);
-
-/// Memoizing decorator: explanation methods score the same perturbed
-/// pairs repeatedly (lattice nodes recur across triangles; saliency and
-/// counterfactual passes share inputs), so a value-keyed score cache
-/// cuts most of the model-call cost. The cache resets itself when it
-/// exceeds `max_entries` to bound memory.
-class CachingMatcher : public Matcher {
- public:
-  /// Does not take ownership of `base`, which must outlive this object.
-  explicit CachingMatcher(const Matcher* base, size_t max_entries = 1 << 20);
-
-  double Score(const data::Record& u, const data::Record& v) const override;
-  std::string name() const override { return base_->name(); }
-
-  /// Number of underlying model invocations (cache misses) so far.
-  size_t miss_count() const { return misses_; }
-  /// Number of Score calls served from the cache.
-  size_t hit_count() const { return hits_; }
-
- private:
-  const Matcher* base_;
-  size_t max_entries_;
-  mutable std::unordered_map<std::string, double> cache_;
-  mutable size_t hits_ = 0;
-  mutable size_t misses_ = 0;
-};
 
 }  // namespace certa::models
 

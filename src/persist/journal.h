@@ -14,10 +14,11 @@ namespace certa::persist {
 /// An explanation job's only expensive, externally-paid work is its
 /// model calls; everything else is cheap deterministic CPU. The journal
 /// records every freshly computed score as it happens, so a job killed
-/// at any instruction can be resumed by replaying the journal into the
-/// PredictionCache (see ScoringEngine::Prewarm) and re-running — every
-/// already-paid call becomes a cache hit and the result is bit-identical
-/// to an uninterrupted run.
+/// at any instruction can be resumed by re-running it with the replayed
+/// journal behind the engine's store probe (see
+/// ScoringEngine::Options::store_probe) — every already-paid call is
+/// served from the journal instead of the model, and the result is
+/// bit-identical to an uninterrupted run.
 ///
 /// On-disk format (host-endian, single-machine durability):
 ///   header:  8-byte magic "CERTAWAL" + uint32 version (1)
@@ -36,8 +37,9 @@ struct JournalEntry {
 /// Outcome of replaying a journal file.
 struct JournalReplay {
   /// The valid record prefix, in append order. Duplicate keys are
-  /// possible (a resumed job may re-log) and harmless: scores are
-  /// deterministic, so every duplicate carries the same value.
+  /// possible (a run without the cache may re-log) and harmless:
+  /// scores are deterministic, so every duplicate carries the same
+  /// value.
   std::vector<JournalEntry> entries;
   /// Keys seen more than once within `entries`.
   size_t duplicates = 0;

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "data/benchmarks.h"
@@ -166,21 +166,21 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
   }
   outcome.resumed = !replay.entries.empty();
   outcome.replayed_scores = static_cast<long long>(replay.entries.size());
-  std::vector<std::pair<models::PairKey, double>> prewarm;
-  prewarm.reserve(replay.entries.size());
+  // Every score this job already paid, served back through the store
+  // probe below so the resumed run skips those model calls.
+  std::unordered_map<models::PairKey, double, models::PairKeyHasher>
+      replayed;
+  std::vector<persist::JournalEntry> unique;
   for (const persist::JournalEntry& entry : replay.entries) {
-    prewarm.emplace_back(entry.key, entry.score);
+    if (replayed.emplace(entry.key, entry.score).second) {
+      unique.push_back(entry);
+    }
   }
   if (replay.duplicates > 0) {
-    // Resumes of resumes re-log replayed-then-recomputed pairs; compact
-    // so the journal stays proportional to the unique work. The rewrite
-    // is atomic — a crash here leaves the old journal.
-    std::vector<persist::JournalEntry> unique;
-    unique.reserve(replay.entries.size() - replay.duplicates);
-    std::unordered_set<models::PairKey, models::PairKeyHasher> seen;
-    for (const persist::JournalEntry& entry : replay.entries) {
-      if (seen.insert(entry.key).second) unique.push_back(entry);
-    }
+    // A run without the cache (or past a shard eviction) pays and logs
+    // some pairs more than once; compact so the journal stays
+    // proportional to the unique work. The rewrite is atomic — a crash
+    // here leaves the old journal.
     journal.Close();
     if (!persist::CompactJournal(journal_path, unique) ||
         !journal.Open(journal_path, nullptr)) {
@@ -244,29 +244,41 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
   // resume, not truncate), so the adapter leaves it out here.
   core::CertaExplainer::Options explainer_options =
       ExplainerOptionsFromRequest(spec, /*include_deadline=*/false);
-  explainer_options.replayed_scores = &prewarm;
   explainer_options.cancel = options.cancel;
   explainer_options.metrics = options.metrics;
   explainer_options.trace = options.trace;
   explainer_options.use_candidate_index = options.use_candidate_index;
-  if (options.store != nullptr && options.store->is_open()) {
-    // Scope store entries to the model's identity, so jobs over the same
-    // benchmark share paid scores while different models/data can never
-    // collide.
-    const uint64_t scope = persist::HashScope(spec.model, fingerprint);
-    persist::ScoreStore* store = options.store;
+  persist::ScoreStore* store = options.store;
+  if (store != nullptr && !store->is_open()) store = nullptr;
+  // Scope store entries to the model's identity, so jobs over the same
+  // benchmark share paid scores while different models/data can never
+  // collide.
+  const uint64_t scope = persist::HashScope(spec.model, fingerprint);
+  // One replay hook: a cache miss is answered from this job's journal
+  // first, then from the cross-job store. Either way it counts one
+  // cache miss plus one store hit in the engine and is inserted where a
+  // computed score would be, so results and cache counters match an
+  // uninterrupted run, with or without use_cache. outcome.store_hits
+  // counts the score store alone.
+  explainer_options.store_probe = [&replayed, store, scope, &outcome](
+                                      const models::PairKey& key,
+                                      double* score) {
+    if (auto it = replayed.find(key); it != replayed.end()) {
+      *score = it->second;
+      return 1;
+    }
+    bool from_peer = false;
+    if (store == nullptr || !store->Lookup(scope, key, score, &from_peer)) {
+      return 0;
+    }
+    ++outcome.store_hits;
+    if (from_peer) ++outcome.store_peer_hits;
+    return from_peer ? 2 : 1;
+  };
+  if (store != nullptr) {
     // Start the run with the freshest view of sibling streams a shared
     // store can offer (no-op for a single-writer store).
     store->RefreshPeers();
-    explainer_options.store_probe = [store, scope, &outcome](
-                                        const models::PairKey& key,
-                                        double* score) {
-      bool from_peer = false;
-      if (!store->Lookup(scope, key, score, &from_peer)) return 0;
-      ++outcome.store_hits;
-      if (from_peer) ++outcome.store_peer_hits;
-      return from_peer ? 2 : 1;
-    };
     explainer_options.store_write = [store, scope](const models::PairKey& key,
                                                    double score) {
       store->Put(scope, key, score);

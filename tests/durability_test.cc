@@ -1,7 +1,7 @@
 // Durability layer tests: CRC32, atomic file I/O, write-ahead journal
 // (including fuzzed torn/corrupted tails), checkpoints, lattice tag
-// serialization, cache prewarming, and in-process kill/resume of a full
-// durable explanation run. Subprocess SIGKILL coverage lives in
+// serialization, and in-process kill/resume of a full durable
+// explanation run. Subprocess SIGKILL coverage lives in
 // crash_recovery_test.cc.
 
 #include <atomic>
@@ -20,7 +20,6 @@
 #include "persist/checkpoint.h"
 #include "persist/journal.h"
 #include "service/job_runner.h"
-#include "test_util.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
 
@@ -430,67 +429,6 @@ TEST(LatticeTagsTest, MalformedRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Cache prewarming (the replay half of the journal contract)
-
-TEST(PrewarmTest, ReplayedScoresSkipBaseModelButKeepCounters) {
-  testing::FakeMatcher fake([](const data::Record& u, const data::Record& v) {
-    return u.id == v.id ? 0.9 : 0.1;
-  });
-  data::Table table = testing::MakeTable("T", {"a"}, {{"x"}, {"y"}});
-  const data::Record& r0 = table.record(0);
-  const data::Record& r1 = table.record(1);
-
-  // Uninterrupted run: two fresh scores, observer fires for each.
-  std::vector<std::pair<models::PairKey, double>> journal;
-  models::ScoringEngine::Options options;
-  options.observer = [&](const models::PairKey& key, double score) {
-    journal.emplace_back(key, score);
-  };
-  models::ScoringEngine first(&fake, options);
-  const double s00 = first.Score(r0, r0);
-  const double s01 = first.Score(r0, r1);
-  EXPECT_EQ(journal.size(), 2u);
-  EXPECT_EQ(fake.calls(), 2);
-  const models::PredictionCache::Stats first_stats = first.cache_stats();
-
-  // Resumed run: prewarm from the "journal", score the same pairs.
-  fake.reset_calls();
-  std::vector<std::pair<models::PairKey, double>> second_journal;
-  models::ScoringEngine::Options resumed_options;
-  resumed_options.observer = [&](const models::PairKey& key, double score) {
-    second_journal.emplace_back(key, score);
-  };
-  models::ScoringEngine second(&fake, resumed_options);
-  for (const auto& [key, score] : journal) second.Prewarm(key, score);
-  EXPECT_DOUBLE_EQ(second.Score(r0, r0), s00);
-  EXPECT_DOUBLE_EQ(second.Score(r0, r1), s01);
-  // Zero base-model calls, zero re-journaled scores...
-  EXPECT_EQ(fake.calls(), 0);
-  EXPECT_TRUE(second_journal.empty());
-  // ...and bit-identical cache accounting: the first touch of a
-  // prewarmed entry counts as the miss it replaced.
-  const models::PredictionCache::Stats second_stats = second.cache_stats();
-  EXPECT_EQ(second_stats.hits, first_stats.hits);
-  EXPECT_EQ(second_stats.misses, first_stats.misses);
-
-  // Second touches are plain hits in both worlds.
-  (void)first.Score(r0, r0);
-  (void)second.Score(r0, r0);
-  EXPECT_EQ(second.cache_stats().hits, first.cache_stats().hits);
-}
-
-TEST(PrewarmTest, PrewarmNeverOverwritesComputedScore) {
-  testing::FakeMatcher fake(
-      [](const data::Record&, const data::Record&) { return 0.42; });
-  data::Table table = testing::MakeTable("T", {"a"}, {{"x"}});
-  const data::Record& r0 = table.record(0);
-  models::ScoringEngine engine(&fake);
-  const double computed = engine.Score(r0, r0);
-  engine.Prewarm(models::HashPair(r0, r0), 0.99);  // stale/bogus replay
-  EXPECT_DOUBLE_EQ(engine.Score(r0, r0), computed);
-}
-
-// ---------------------------------------------------------------------
 // In-process durable runs: cancel at many points, resume, compare.
 
 service::JobSpec SmallJob() {
@@ -561,6 +499,40 @@ TEST(DurableRunTest, CancelAtManyPointsThenResumeBitIdentical) {
               reference.fresh_scores)
         << "k=" << k;
   }
+}
+
+TEST(DurableRunTest, UncachedResumeNeverRepaysJournaledScores) {
+  // Without the prediction cache the journal is still the replay
+  // source: a resumed use_cache=false job must serve every journaled
+  // pair from it instead of paying the model again.
+  service::JobSpec spec = SmallJob();
+  spec.use_cache = false;
+  ScratchDir reference_dir("uncached_ref");
+  service::JobOutcome reference = service::RunDurableExplain(
+      spec, reference_dir.dir(), service::DurableRunOptions());
+  ASSERT_EQ(reference.state, service::JobState::kComplete)
+      << reference.error;
+
+  ScratchDir scratch("uncached_cancel");
+  std::atomic<bool> cancel{false};
+  int beats = 0;
+  service::DurableRunOptions options;
+  options.checkpoint_every = 3;
+  options.cancel = &cancel;
+  options.heartbeat = [&] {
+    if (++beats >= 15) cancel.store(true);
+  };
+  service::JobOutcome parked =
+      service::RunDurableExplain(spec, scratch.dir(), options);
+  ASSERT_EQ(parked.state, service::JobState::kParked);
+  ASSERT_GT(parked.fresh_scores, 0);
+
+  service::JobOutcome resumed = service::RunDurableExplain(
+      spec, scratch.dir(), service::DurableRunOptions());
+  ASSERT_EQ(resumed.state, service::JobState::kComplete) << resumed.error;
+  EXPECT_EQ(resumed.result_json, reference.result_json);
+  EXPECT_LE(parked.fresh_scores + resumed.fresh_scores,
+            reference.fresh_scores);
 }
 
 TEST(DurableRunTest, EveryMatcherResumesBitIdentical) {

@@ -112,61 +112,6 @@ TEST(EvaluateF1Test, PerfectOracle) {
       EvaluateF1(oracle, dataset.left, dataset.right, dataset.test), 1.0);
 }
 
-TEST(CachingMatcherTest, CachesByValue) {
-  int base_calls = 0;
-  FakeMatcher base([&](const data::Record&, const data::Record&) {
-    ++base_calls;
-    return 0.7;
-  });
-  CachingMatcher cached(&base);
-  data::Record u = MakeRecord(0, {"a", "b"});
-  data::Record v = MakeRecord(1, {"c", "d"});
-  EXPECT_DOUBLE_EQ(cached.Score(u, v), 0.7);
-  EXPECT_DOUBLE_EQ(cached.Score(u, v), 0.7);
-  EXPECT_EQ(base_calls, 1);
-  EXPECT_EQ(cached.hit_count(), 1u);
-  EXPECT_EQ(cached.miss_count(), 1u);
-  // Same values, different id: still a cache hit (value-keyed).
-  data::Record u2 = MakeRecord(99, {"a", "b"});
-  cached.Score(u2, v);
-  EXPECT_EQ(base_calls, 1);
-}
-
-TEST(CachingMatcherTest, DistinguishesSides) {
-  // <u, v> and <v, u> must not collide in the cache.
-  FakeMatcher base([](const data::Record& u, const data::Record&) {
-    return u.value(0) == "left" ? 0.9 : 0.1;
-  });
-  CachingMatcher cached(&base);
-  data::Record a = MakeRecord(0, {"left"});
-  data::Record b = MakeRecord(1, {"right"});
-  EXPECT_DOUBLE_EQ(cached.Score(a, b), 0.9);
-  EXPECT_DOUBLE_EQ(cached.Score(b, a), 0.1);
-}
-
-TEST(CachingMatcherTest, DistinguishesValueBoundaries) {
-  // {"ab", "c"} vs {"a", "bc"} must hash to different keys.
-  FakeMatcher base([](const data::Record& u, const data::Record&) {
-    return u.value(0).size() == 2 ? 0.9 : 0.1;
-  });
-  CachingMatcher cached(&base);
-  data::Record v = MakeRecord(9, {"x"});
-  EXPECT_DOUBLE_EQ(cached.Score(MakeRecord(0, {"ab", "c"}), v), 0.9);
-  EXPECT_DOUBLE_EQ(cached.Score(MakeRecord(1, {"a", "bc"}), v), 0.1);
-}
-
-TEST(CachingMatcherTest, EvictsWhenFull) {
-  FakeMatcher base([](const data::Record&, const data::Record&) {
-    return 0.5;
-  });
-  CachingMatcher cached(&base, /*max_entries=*/2);
-  data::Record v = MakeRecord(0, {"v"});
-  cached.Score(MakeRecord(1, {"a"}), v);
-  cached.Score(MakeRecord(2, {"b"}), v);
-  cached.Score(MakeRecord(3, {"c"}), v);  // triggers reset, no crash
-  EXPECT_EQ(cached.miss_count(), 3u);
-}
-
 TEST(DeepMatcherModelTest, FeatureDimensionPerAttribute) {
   // The DeepMatcher stand-in is attribute-aligned: records with
   // different arities are a programmer error (covered by CHECK), and

@@ -416,25 +416,32 @@ TEST(ObservabilityIntegrationTest, PhaseModelCallCountsSumToTotal) {
                                 {"four", "cyan"}});
   data::Table right = MakeTable("R", {"a", "b"},
                                 {{"one x", "red"}, {"two y", "green"}});
-  FakeMatcher model(HashScore);
-  explain::ExplainContext context{&model, &left, &right};
-  obs::MetricsRegistry registry;
-  core::CertaExplainer::Options options;
-  options.num_triangles = 3;
-  options.metrics = &registry;
-  core::CertaExplainer explainer(context, options);
-  explainer.Explain(left.record(0), right.record(0));
-  const long long total =
-      registry.counter("scoring.scores.computed")->value();
-  long long phases = 0;
-  for (const char* phase :
-       {"pivot", "triangles", "lattice", "counterfactuals"}) {
-    phases += registry
-                  .counter(std::string("explain.phase.") + phase +
-                           ".model_calls")
-                  ->value();
+  // With the cache off too: uncached single-pair calls (the pivot
+  // prediction) take the engine's hook-free path and must still count.
+  for (bool use_cache : {true, false}) {
+    SCOPED_TRACE(use_cache ? "cached" : "uncached");
+    FakeMatcher model(HashScore);
+    explain::ExplainContext context{&model, &left, &right};
+    obs::MetricsRegistry registry;
+    core::CertaExplainer::Options options;
+    options.num_triangles = 3;
+    options.use_cache = use_cache;
+    options.metrics = &registry;
+    core::CertaExplainer explainer(context, options);
+    explainer.Explain(left.record(0), right.record(0));
+    const long long total =
+        registry.counter("scoring.scores.computed")->value();
+    long long phases = 0;
+    for (const char* phase :
+         {"pivot", "triangles", "lattice", "counterfactuals"}) {
+      phases += registry
+                    .counter(std::string("explain.phase.") + phase +
+                             ".model_calls")
+                    ->value();
+    }
+    EXPECT_EQ(phases, total);
+    EXPECT_EQ(total, model.calls());
   }
-  EXPECT_EQ(phases, total);
 }
 
 }  // namespace

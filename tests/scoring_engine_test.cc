@@ -16,6 +16,7 @@
 
 #include "core/certa_explainer.h"
 #include "data/benchmarks.h"
+#include "models/resilience.h"
 #include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "obs/metrics.h"
@@ -278,60 +279,6 @@ TEST(PredictionCacheTest, OverflowingOneShardDoesNotEvictOthers) {
             static_cast<long long>(residents.size()) + flooded);
 }
 
-TEST(PredictionCacheViewTest, BuffersInsertsUntilFlush) {
-  PredictionCache cache(4, 64);
-  PairKey key{11, 22};
-  double score = -1.0;
-  {
-    PredictionCache::View view(&cache);
-    view.Insert(key, 0.25);
-    // The view sees its own write immediately...
-    EXPECT_TRUE(view.Lookup(key, &score));
-    EXPECT_DOUBLE_EQ(score, 0.25);
-    // ...but the shards only get it at flush time.
-    EXPECT_EQ(cache.entry_count(), 0u);
-    view.Flush();
-    EXPECT_EQ(cache.entry_count(), 1u);
-    view.Insert(PairKey{33, 44}, 0.5);
-  }  // destructor flushes the tail
-  EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_TRUE(cache.Lookup(PairKey{33, 44}, &score));
-  EXPECT_DOUBLE_EQ(score, 0.5);
-}
-
-TEST(PredictionCacheViewTest, ReadThroughCountsLikeDirectLookups) {
-  PredictionCache cache(4, 64);
-  cache.Insert(PairKey{1, 1}, 0.9);
-  PredictionCache::View view(&cache);
-  double score = -1.0;
-  EXPECT_FALSE(view.Lookup(PairKey{2, 2}, &score));  // shard miss
-  EXPECT_TRUE(view.Lookup(PairKey{1, 1}, &score));   // shard hit
-  EXPECT_DOUBLE_EQ(score, 0.9);
-  EXPECT_TRUE(view.Lookup(PairKey{1, 1}, &score));   // local hit
-  PredictionCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2);
-  EXPECT_EQ(stats.misses, 1);
-}
-
-TEST(PredictionCacheViewTest, FlushPreservesEvictionAccounting) {
-  // Inserting N distinct keys through a view must trip the same
-  // shard-budget evictions as inserting them directly.
-  constexpr uint64_t kKeys = 200;
-  PredictionCache direct(2, 16);
-  for (uint64_t i = 0; i < kKeys; ++i) {
-    direct.Insert(PairKey{i, i * 31}, 0.5);
-  }
-  PredictionCache viewed(2, 16);
-  {
-    PredictionCache::View view(&viewed);
-    for (uint64_t i = 0; i < kKeys; ++i) {
-      view.Insert(PairKey{i, i * 31}, 0.5);
-    }
-  }
-  EXPECT_EQ(viewed.stats().evictions, direct.stats().evictions);
-  EXPECT_EQ(viewed.entry_count(), direct.entry_count());
-}
-
 // ---------------------------------------------------------------------------
 // ScoringEngine
 
@@ -569,8 +516,6 @@ TEST(ScoringEngineTest, PooledBatchMatchesSerial) {
   ScoringEngine::Options pooled_options;
   pooled_options.pool = &pool;
   pooled_options.enable_cache = false;
-  pooled_options.min_parallel_batch = 2;
-  pooled_options.parallel_chunk = 3;
   ScoringEngine pooled(&base, pooled_options);
   ScoringEngine serial(&base);
 
@@ -584,6 +529,51 @@ TEST(ScoringEngineTest, PooledBatchMatchesSerial) {
   for (int i = 0; i < 64; ++i) pairs.push_back({&lefts[i], &rights[i]});
 
   EXPECT_EQ(pooled.ScoreBatch(pairs), serial.ScoreBatch(pairs));
+}
+
+TEST(ScoringEngineTest, PooledTryScoreBatchIsolatesFailuresLikeSerial) {
+  // The fan-out's isolate path on pool workers: a 32-pair chunk whose
+  // batched base call throws is re-scored pair by pair on its worker,
+  // and the outcome and cache accounting match the unpooled engine's.
+  FakeMatcher base([](const data::Record& u, const data::Record& v) {
+    const int left = std::stoi(u.values[0]);
+    if (left % 9 == 4) throw models::TransientError("flaky pair");
+    return (left * 7 + static_cast<int>(v.values[0].size())) / 1000.0;
+  });
+  std::vector<data::Record> lefts;
+  std::vector<data::Record> rights;
+  for (int i = 0; i < 128; ++i) {
+    lefts.push_back(MakeRecord(i, {std::to_string(i)}));
+    rights.push_back(MakeRecord(i, {std::string(1 + i % 13, 'r')}));
+  }
+  std::vector<RecordPair> pairs;
+  for (int i = 0; i < 128; ++i) pairs.push_back({&lefts[i], &rights[i]});
+  for (int i = 0; i < 8; ++i) pairs.push_back({&lefts[i], &rights[i]});
+
+  ScoringEngine serial(&base);
+  util::ThreadPool pool(4);
+  obs::MetricsRegistry registry;
+  ScoringEngine::Options pooled_options;
+  pooled_options.pool = &pool;
+  pooled_options.metrics = &registry;
+  ScoringEngine pooled(&base, pooled_options);
+
+  const ScoringEngine::BatchOutcome expected = serial.TryScoreBatch(pairs);
+  const ScoringEngine::BatchOutcome actual = pooled.TryScoreBatch(pairs);
+  // 136 pairs: 128 unique misses fan out as four 32-pair chunks.
+  EXPECT_EQ(registry.counter("scoring.pool.chunks")->value(), 4);
+  ASSERT_GT(expected.failures, 0u);
+  ASSERT_LT(expected.failures, pairs.size());
+  EXPECT_EQ(actual.scores, expected.scores);
+  EXPECT_EQ(actual.ok, expected.ok);
+  EXPECT_EQ(actual.failures, expected.failures);
+  EXPECT_EQ(actual.budget_exhausted, expected.budget_exhausted);
+  const PredictionCache::Stats serial_stats = serial.cache_stats();
+  const PredictionCache::Stats pooled_stats = pooled.cache_stats();
+  EXPECT_EQ(pooled_stats.hits, serial_stats.hits);
+  EXPECT_EQ(pooled_stats.misses, serial_stats.misses);
+  EXPECT_EQ(pooled_stats.evictions, serial_stats.evictions);
+  EXPECT_EQ(pooled_stats.store_hits, serial_stats.store_hits);
 }
 
 // ScoreBatch must agree bit-for-bit with per-pair Score for every
