@@ -5,7 +5,11 @@
 //   3. model calls saved vs kill point — what the journal buys when a
 //      job dies at 25/50/75% of its paid work.
 // Prints a table and writes BENCH_durability.json (atomically, through
-// the same writer the service uses).
+// the same writer the service uses). Also a check: it exits nonzero
+// unless every resume of a complete journal pays no fresh score, every
+// kill-point resume completes with replayed + fresh equal to the
+// uninterrupted run's calls and a byte-identical result, and
+// CompactJournal succeeds.
 
 #include <chrono>
 #include <cstdio>
@@ -54,6 +58,14 @@ certa::service::JobSpec BenchJob(int triangles) {
 int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
   return value != nullptr ? std::atoi(value) : fallback;
+}
+
+/// Counts and reports a failed durability check.
+int failed_checks = 0;
+void Check(bool ok, const std::string& what) {
+  if (ok) return;
+  ++failed_checks;
+  std::fprintf(stderr, "CHECK FAILED: %s\n", what.c_str());
 }
 
 }  // namespace
@@ -157,6 +169,11 @@ int main() {
     const double resume_ms = MillisSince(start);
     std::printf("%-10d %10zu %12.2f %12.1f\n", t, replay.entries.size(),
                 replay_ms, resume_ms);
+    Check(resumed.state == certa::service::JobState::kComplete &&
+              resumed.fresh_scores == 0,
+          "resuming a complete journal at " + std::to_string(t) +
+              " triangles paid " + std::to_string(resumed.fresh_scores) +
+              " fresh scores");
     json.BeginObject();
     json.Key("triangles");
     json.Int(t);
@@ -180,6 +197,10 @@ int main() {
   certa::service::JobOutcome full = certa::service::RunDurableExplain(
       BenchJob(triangles), full_dir.string(),
       certa::service::DurableRunOptions());
+  if (full.state != certa::service::JobState::kComplete) {
+    std::fprintf(stderr, "bench job failed: %s\n", full.error.c_str());
+    return 1;
+  }
   certa::persist::JournalReplay full_journal = certa::persist::ReplayJournal(
       certa::persist::JournalPathInDir(full_dir.string()));
   const size_t total = full_journal.entries.size();
@@ -195,11 +216,21 @@ int main() {
         full_journal.entries.begin(),
         full_journal.entries.begin() +
             static_cast<long>(total * pct / 100));
-    certa::persist::CompactJournal(
-        certa::persist::JournalPathInDir(dir.string()), prefix);
+    Check(certa::persist::CompactJournal(
+              certa::persist::JournalPathInDir(dir.string()), prefix),
+          "CompactJournal failed at kill point " + std::to_string(pct) + "%");
     certa::service::JobOutcome resumed = certa::service::RunDurableExplain(
         BenchJob(triangles), dir.string(),
         certa::service::DurableRunOptions());
+    const std::string at = " at kill point " + std::to_string(pct) + "%";
+    Check(resumed.state == certa::service::JobState::kComplete,
+          "resume did not complete" + at + ": " + resumed.error);
+    Check(resumed.replayed_scores + resumed.fresh_scores ==
+              full.fresh_scores,
+          "replayed + fresh != " + std::to_string(full.fresh_scores) +
+              " uninterrupted calls" + at);
+    Check(resumed.result_json == full.result_json,
+          "resumed result differs from the uninterrupted run" + at);
     const double saved =
         100.0 * static_cast<double>(resumed.replayed_scores) /
         static_cast<double>(resumed.replayed_scores + resumed.fresh_scores);
@@ -229,5 +260,9 @@ int main() {
     return 1;
   }
   std::printf("\nsummary written to %s\n", path.c_str());
+  if (failed_checks > 0) {
+    std::fprintf(stderr, "%d durability check(s) failed\n", failed_checks);
+    return 1;
+  }
   return 0;
 }

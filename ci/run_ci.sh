@@ -13,7 +13,10 @@
 #      -DCERTA_NATIVE=ON build when the host compiler supports
 #      -march=native, and the TSan build;
 #   5. the observability overhead bench, which fails if instrumentation
-#      changes a result byte and writes BENCH_obs.json;
+#      changes a result byte and writes BENCH_obs.json, and the
+#      durability bench, which fails unless journal resumes re-pay
+#      nothing and match the uninterrupted result, and writes
+#      BENCH_durability.json;
 #   6. the store suite (score-store crash-fuzz — including SIGKILLed
 #      sibling streams sharing one directory — + candidate-index
 #      differential battery) in the Release, ASan and TSan builds, plus
@@ -126,6 +129,13 @@ ctest --test-dir "${REPO_ROOT}/build-ci-tsan" --output-on-failure -L perf
 echo "== Observability overhead bench =="
 CERTA_BENCH_OBS_JSON="${REPO_ROOT}/BENCH_obs.json" \
   "${REPO_ROOT}/build-ci/bench/bench_observability"
+
+# Durability bench: journal replay, CompactJournal prefixes and resume at
+# 25/50/75% of the paid work; fails on any re-paid score, a resume that
+# does not add up to the uninterrupted run, or a result byte that moved.
+echo "== Durability bench =="
+CERTA_BENCH_DURABILITY_JSON="${REPO_ROOT}/BENCH_durability.json" \
+  "${REPO_ROOT}/build-ci/bench/bench_durability"
 
 # Streaming bench: sustained upsert/match/remove p50/p95/p99 through the
 # WAL'd coordinator, staleness-detection churn, and a SIGKILL-and-resume

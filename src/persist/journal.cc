@@ -1,139 +1,62 @@
 #include "persist/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <unordered_set>
-
-#include "util/atomic_file.h"
-#include "util/crc32.h"
 
 namespace certa::persist {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'R', 'T', 'A', 'W', 'A', 'L'};
-constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(kVersion);
-constexpr size_t kPayloadSize =
-    sizeof(uint64_t) + sizeof(uint64_t) + sizeof(double);
-constexpr size_t kRecordSize = kPayloadSize + sizeof(uint32_t);
+/// One journal payload, in on-disk field order.
+struct Payload {
+  uint64_t lo;
+  uint64_t hi;
+  double score;
+};
+static_assert(sizeof(Payload) == 24);
 
-void AppendHeader(std::string* out) {
-  out->append(kMagic, sizeof(kMagic));
-  out->append(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-}
+constexpr RecordFormat kFormat{std::string_view("CERTAWAL\x01\0\0\0", 12),
+                               sizeof(Payload)};
 
-void AppendRecord(const models::PairKey& key, double score,
-                  std::string* out) {
-  char payload[kPayloadSize];
-  std::memcpy(payload, &key.lo, sizeof(key.lo));
-  std::memcpy(payload + sizeof(key.lo), &key.hi, sizeof(key.hi));
-  std::memcpy(payload + sizeof(key.lo) + sizeof(key.hi), &score,
-              sizeof(score));
-  uint32_t crc = util::Crc32(payload, kPayloadSize);
-  out->append(payload, kPayloadSize);
-  out->append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-}
-
-/// Parses the valid record prefix of `data` (which includes the
-/// header). Returns the byte offset one past the last valid record.
-size_t ParseValidPrefix(const std::string& data, JournalReplay* replay) {
-  if (data.size() < kHeaderSize ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    replay->bad_header = true;
-    return 0;
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, data.data() + sizeof(kMagic), sizeof(version));
-  if (version != kVersion) {
-    replay->bad_header = true;
-    return 0;
-  }
-  size_t offset = kHeaderSize;
-  std::unordered_set<models::PairKey, models::PairKeyHasher> seen;
-  while (offset + kRecordSize <= data.size()) {
-    const char* record = data.data() + offset;
-    uint32_t stored = 0;
-    std::memcpy(&stored, record + kPayloadSize, sizeof(stored));
-    if (util::Crc32(record, kPayloadSize) != stored) break;
-    JournalEntry entry;
-    std::memcpy(&entry.key.lo, record, sizeof(entry.key.lo));
-    std::memcpy(&entry.key.hi, record + sizeof(entry.key.lo),
-                sizeof(entry.key.hi));
-    std::memcpy(&entry.score,
-                record + sizeof(entry.key.lo) + sizeof(entry.key.hi),
-                sizeof(entry.score));
+/// Visitor collecting the valid prefix into *replay.
+RecordVisitor Collect(JournalReplay* replay) {
+  return [replay, seen = std::unordered_set<models::PairKey,
+                                            models::PairKeyHasher>()](
+             std::string_view bytes) mutable {
+    const auto payload = PayloadFrom<Payload>(bytes);
+    const JournalEntry entry{{payload.lo, payload.hi}, payload.score};
     if (!seen.insert(entry.key).second) ++replay->duplicates;
     replay->entries.push_back(entry);
-    offset += kRecordSize;
-  }
-  if (offset < data.size()) {
-    replay->dropped_bytes = data.size() - offset;
+    return true;
+  };
+}
+
+void Summarize(const RecordLogRecovery& recovery, JournalReplay* replay) {
+  replay->missing = recovery.missing;
+  replay->bad_header = recovery.bad_header;
+  if (!recovery.bad_header && recovery.dropped_bytes > 0) {
+    replay->dropped_bytes = recovery.dropped_bytes;
     replay->corrupt_tail = true;
   }
-  return offset;
 }
 
 }  // namespace
 
 JournalReplay ReplayJournal(const std::string& path) {
   JournalReplay replay;
-  std::string data;
-  if (!util::ReadFileToString(path, &data)) {
-    replay.missing = true;
-    return replay;
-  }
-  ParseValidPrefix(data, &replay);
+  RecordLogRecovery recovery;
+  ReadRecordLog(path, kFormat, Collect(&replay), &recovery);
+  Summarize(recovery, &replay);
   return replay;
 }
 
-JournalWriter::~JournalWriter() { Close(); }
-
 bool JournalWriter::Open(const std::string& path, JournalReplay* replay) {
-  Close();
   JournalReplay local;
   JournalReplay* out = replay != nullptr ? replay : &local;
   *out = JournalReplay();
-
-  std::string data;
-  size_t valid_end = 0;
-  bool rewrite = false;
-  if (!util::ReadFileToString(path, &data)) {
-    out->missing = true;
-    rewrite = true;  // fresh file: write the header
-  } else {
-    valid_end = ParseValidPrefix(data, out);
-    // A bad header means nothing in the file is trustworthy; start
-    // over. (valid_end is 0 and entries is empty.)
-    if (out->bad_header) rewrite = true;
-  }
-
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
-  if (fd_ < 0) return false;
-  if (rewrite) {
-    std::string header;
-    AppendHeader(&header);
-    if (::ftruncate(fd_, 0) != 0) {
-      Close();
-      return false;
-    }
-    buffer_ = header;
-    if (!Sync()) {
-      Close();
-      return false;
-    }
-    return true;
-  }
-  // Truncate the torn/corrupt tail so appends extend the valid prefix.
-  if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0 ||
-      ::lseek(fd_, 0, SEEK_END) < 0) {
-    Close();
-    return false;
-  }
-  return true;
+  RecordLogRecovery recovery;
+  const bool opened = log_.Open(path, kFormat, Collect(out), &recovery);
+  Summarize(recovery, out);
+  return opened;
 }
 
 void JournalWriter::BindMetrics(obs::MetricsRegistry* registry) {
@@ -152,36 +75,23 @@ void JournalWriter::BindMetrics(obs::MetricsRegistry* registry) {
 }
 
 bool JournalWriter::Append(const models::PairKey& key, double score) {
-  if (fd_ < 0) return false;
-  AppendRecord(key, score, &buffer_);
+  if (!log_.is_open()) return false;
+  const size_t before = log_.pending_bytes();
+  log_.Append(PayloadBytes(Payload{key.lo, key.hi, score}));
   ++appended_;
   if (metric_appends_ != nullptr) metric_appends_->Increment();
   if (metric_bytes_ != nullptr) {
-    metric_bytes_->Add(static_cast<long long>(kRecordSize));
+    metric_bytes_->Add(static_cast<long long>(log_.pending_bytes() - before));
   }
   return true;
 }
 
 bool JournalWriter::Sync() {
-  if (fd_ < 0) return false;
+  if (!log_.is_open()) return false;
   const bool timed = metric_fsync_us_ != nullptr;
   const auto sync_start = timed ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point();
-  size_t written = 0;
-  while (written < buffer_.size()) {
-    ssize_t n =
-        ::write(fd_, buffer_.data() + written, buffer_.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // Drop what did make it out of the buffer; the journal's valid
-      // prefix on disk is still consistent (CRCs gate the tail).
-      buffer_.erase(0, written);
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  buffer_.clear();
-  const bool synced = ::fsync(fd_) == 0;
+  const bool synced = log_.Sync();
   if (metric_syncs_ != nullptr) metric_syncs_->Increment();
   if (timed) {
     metric_fsync_us_->Record(static_cast<double>(
@@ -192,23 +102,17 @@ bool JournalWriter::Sync() {
   return synced;
 }
 
-void JournalWriter::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buffer_.clear();
-}
+void JournalWriter::Close() { log_.Close(); }
 
 bool CompactJournal(const std::string& path,
                     const std::vector<JournalEntry>& entries) {
-  std::string data;
-  data.reserve(kHeaderSize + entries.size() * kRecordSize);
-  AppendHeader(&data);
+  std::string records;
   for (const JournalEntry& entry : entries) {
-    AppendRecord(entry.key, entry.score, &data);
+    FrameRecord(kFormat,
+                PayloadBytes(Payload{entry.key.lo, entry.key.hi, entry.score}),
+                &records);
   }
-  return util::AtomicWriteFile(path, data);
+  return RewriteRecordLog(path, kFormat, records);
 }
 
 }  // namespace certa::persist

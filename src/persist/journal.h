@@ -6,6 +6,7 @@
 
 #include "models/scoring_engine.h"
 #include "obs/metrics.h"
+#include "persist/record_log.h"
 
 namespace certa::persist {
 
@@ -20,13 +21,10 @@ namespace certa::persist {
 /// served from the journal instead of the model, and the result is
 /// bit-identical to an uninterrupted run.
 ///
-/// On-disk format (host-endian, single-machine durability):
-///   header:  8-byte magic "CERTAWAL" + uint32 version (1)
-///   record:  uint64 key.lo | uint64 key.hi | double score | uint32 crc
-/// where crc is CRC-32 (util::Crc32) over the 24 payload bytes.
-/// Records are append-only. Recovery trusts exactly the longest prefix
-/// of CRC-valid records: a torn, truncated, or bit-flipped tail is
-/// discarded, never interpreted.
+/// On-disk format: a persist::RecordLog (record_log.h, which owns the
+/// framing, the recovery rule and the failure policy) with the header
+/// "CERTAWAL" + uint32 version (1) and 24-byte binary payloads:
+///   uint64 key.lo | uint64 key.hi | double score
 
 /// One journaled score.
 struct JournalEntry {
@@ -58,14 +56,12 @@ struct JournalReplay {
 JournalReplay ReplayJournal(const std::string& path);
 
 /// Appender with an explicit durability boundary: Append buffers,
-/// Sync() writes through and fsyncs. Open() recovers first — any
-/// torn/corrupt tail is truncated away so new records always extend
-/// the valid prefix (appending after garbage would strand them behind
-/// the corruption forever).
+/// Sync() writes through and fsyncs. Open() recovers first — a torn or
+/// corrupt tail is cut off, so new records always extend the valid
+/// prefix.
 class JournalWriter {
  public:
   JournalWriter() = default;
-  ~JournalWriter();
 
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
@@ -75,13 +71,14 @@ class JournalWriter {
   /// valid prefix found on open — callers replay it into their cache.
   bool Open(const std::string& path, JournalReplay* replay = nullptr);
 
-  bool is_open() const { return fd_ >= 0; }
+  bool is_open() const { return log_.is_open(); }
 
   /// Buffers one record (no I/O guarantee until Sync).
   bool Append(const models::PairKey& key, double score);
 
   /// Writes buffered records and fsyncs; after a true return every
-  /// appended record survives a crash.
+  /// appended record survives a crash, after a false one the unsynced
+  /// records are dropped (they are paid again on a later run).
   bool Sync();
 
   void Close();
@@ -95,8 +92,7 @@ class JournalWriter {
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
-  int fd_ = -1;
-  std::string buffer_;
+  RecordLog log_;
   long long appended_ = 0;
   obs::Counter* metric_appends_ = nullptr;
   obs::Counter* metric_bytes_ = nullptr;

@@ -1,9 +1,6 @@
 #include "persist/score_store.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,37 +10,22 @@
 #include <unordered_set>
 
 #include "util/atomic_file.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace certa::persist {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'R', 'T', 'A', 'S', 'S', 'T'};
-constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint32_t);  // 12
-constexpr size_t kPayloadSize =
-    sizeof(uint64_t) * 3 + sizeof(double);                    // 32
-constexpr size_t kRecordSize = kPayloadSize + sizeof(uint32_t);  // 36
+/// One segment payload, in on-disk field order.
+struct Payload {
+  uint64_t scope;
+  uint64_t lo;
+  uint64_t hi;
+  double score;
+};
+static_assert(sizeof(Payload) == 32);
 
-std::string SegmentHeader() {
-  std::string header(kHeaderSize, '\0');
-  std::memcpy(header.data(), kMagic, sizeof(kMagic));
-  std::memcpy(header.data() + sizeof(kMagic), &kVersion, sizeof(kVersion));
-  return header;
-}
-
-void AppendRecord(std::string* out, uint64_t scope, uint64_t lo, uint64_t hi,
-                  double score) {
-  char payload[kPayloadSize];
-  std::memcpy(payload, &scope, sizeof(scope));
-  std::memcpy(payload + 8, &lo, sizeof(lo));
-  std::memcpy(payload + 16, &hi, sizeof(hi));
-  std::memcpy(payload + 24, &score, sizeof(score));
-  uint32_t crc = util::Crc32(payload, kPayloadSize);
-  out->append(payload, kPayloadSize);
-  out->append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-}
+constexpr RecordFormat kFormat{std::string_view("CERTASST\x01\0\0\0", 12),
+                               sizeof(Payload)};
 
 /// Parses a segment file name into (stream slot, segment number).
 /// "segment-NNNNNN.seg" → slot -1 (legacy single-writer naming);
@@ -83,43 +65,6 @@ bool ParseSegmentName(const std::string& name, int* slot, long long* number) {
   return true;
 }
 
-/// fsync on the directory makes newly created/renamed segment files
-/// durable; failure is ignored (some filesystems refuse dir fsync).
-void SyncDirectory(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-bool WriteAll(int fd, const char* data, size_t size, size_t* written) {
-  *written = 0;
-  while (*written < size) {
-    ssize_t n = ::write(fd, data + *written, size - *written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    *written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool PreadAll(int fd, char* data, size_t size, off_t offset) {
-  size_t done = 0;
-  while (done < size) {
-    ssize_t n = ::pread(fd, data + done, size - done,
-                        offset + static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // shrank under us; retry next refresh
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 ScoreStore::~ScoreStore() { Close(); }
@@ -142,161 +87,31 @@ std::string ScoreStore::StreamLockName() const {
   return ".lock-w" + std::to_string(options_.stream_slot);
 }
 
-size_t ScoreStore::AbsorbSegment(const char* data, size_t size,
-                                 bool* bad_header) {
-  *bad_header = false;
-  if (size < kHeaderSize || std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    *bad_header = true;
-    return 0;
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, data + sizeof(kMagic), sizeof(version));
-  if (version != kVersion) {
-    *bad_header = true;
-    return 0;
-  }
-  size_t offset = kHeaderSize;
-  while (offset + kRecordSize <= size) {
-    const char* payload = data + offset;
-    uint32_t stored = 0;
-    std::memcpy(&stored, payload + kPayloadSize, sizeof(stored));
-    if (util::Crc32(payload, kPayloadSize) != stored) break;
-    StoreKey key;
-    double score = 0.0;
-    std::memcpy(&key.scope, payload, sizeof(key.scope));
-    std::memcpy(&key.lo, payload + 8, sizeof(key.lo));
-    std::memcpy(&key.hi, payload + 16, sizeof(key.hi));
-    std::memcpy(&score, payload + 24, sizeof(score));
-    // Own bytes: overwrite, so a key a peer was absorbed for first
-    // regains its own provenance (this writer also paid for it).
-    index_[key] = Entry{score, /*from_peer=*/false};
-    ++stats_.replayed_records;
-    offset += kRecordSize;
-  }
-  return offset;
-}
-
-bool ScoreStore::LoadSegment(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  bool bad_header = false;
-  size_t valid = 0;
-  bool absorbed = false;
-  if (options_.use_mmap && size > 0) {
-    void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (mapped != MAP_FAILED) {
-      valid = AbsorbSegment(static_cast<const char*>(mapped), size,
-                            &bad_header);
-      ::munmap(mapped, size);
-      absorbed = true;
-    }
-  }
-  ::close(fd);
-  if (!absorbed) {
-    std::string content;
-    if (!util::ReadFileToString(path, &content)) return false;
-    valid = AbsorbSegment(content.data(), content.size(), &bad_header);
-  }
-  if (bad_header) {
+void ScoreStore::CountRecovery(const RecordLogRecovery& recovery) {
+  if (recovery.bad_header) {
     ++stats_.bad_headers;
-    return true;
-  }
-  if (valid < size) {
-    stats_.dropped_bytes += static_cast<long long>(size - valid);
+  } else if (recovery.dropped_bytes > 0) {
+    stats_.dropped_bytes += static_cast<long long>(recovery.dropped_bytes);
     ++stats_.corrupt_tails;
   }
-  segment_valid_bytes_ = valid;
-  return true;
-}
-
-void ScoreStore::AbsorbPeerTail(const std::string& name, PeerFile* peer) {
-  if (peer->ignored) return;
-  const std::string path = dir_ + "/" + name;
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return;  // vanished between scan and open; next pass prunes
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return;
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  if (!peer->header_ok) {
-    // Too small to judge: the owner may still be writing its header.
-    // Not an error and not ignorable yet — just not absorbable.
-    if (size < kHeaderSize) {
-      ::close(fd);
-      return;
-    }
-    char header[kHeaderSize];
-    if (!PreadAll(fd, header, kHeaderSize, 0)) {
-      ::close(fd);
-      return;
-    }
-    uint32_t version = 0;
-    std::memcpy(&version, header + sizeof(kMagic), sizeof(version));
-    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0 ||
-        version != kVersion) {
-      // A complete header that is wrong never becomes right: skip this
-      // file forever (mirrors bad_headers handling of own segments,
-      // but the count is the owner's to report).
-      peer->ignored = true;
-      ::close(fd);
-      return;
-    }
-    peer->header_ok = true;
-    peer->absorbed = kHeaderSize;
-  }
-  if (size <= peer->absorbed) {
-    ::close(fd);
-    return;
-  }
-  std::string tail(size - peer->absorbed, '\0');
-  if (!PreadAll(fd, tail.data(), tail.size(),
-                static_cast<off_t>(peer->absorbed))) {
-    ::close(fd);
-    return;
-  }
-  ::close(fd);
-  // Absorb exactly the whole-record CRC-valid prefix. A failing CRC in
-  // a live sibling file is most often an append in flight, not
-  // corruption — so unlike own-segment recovery we neither truncate
-  // the file (its owner will, if it really is torn) nor count
-  // dropped_bytes: we simply stop and re-check from the same offset on
-  // the next refresh.
-  size_t offset = 0;
-  while (offset + kRecordSize <= tail.size()) {
-    const char* payload = tail.data() + offset;
-    uint32_t stored = 0;
-    std::memcpy(&stored, payload + kPayloadSize, sizeof(stored));
-    if (util::Crc32(payload, kPayloadSize) != stored) break;
-    StoreKey key;
-    double score = 0.0;
-    std::memcpy(&key.scope, payload, sizeof(key.scope));
-    std::memcpy(&key.lo, payload + 8, sizeof(key.lo));
-    std::memcpy(&key.hi, payload + 16, sizeof(key.hi));
-    std::memcpy(&score, payload + 24, sizeof(score));
-    // try_emplace: an entry this writer paid for (or absorbed earlier)
-    // wins — deterministic scores agree, only provenance differs.
-    auto [it, inserted] = index_.try_emplace(key, Entry{score, true});
-    (void)it;
-    if (inserted) {
-      ++stats_.peer_records;
-      if (metric_peer_records_ != nullptr) metric_peer_records_->Increment();
-    }
-    offset += kRecordSize;
-  }
-  peer->absorbed += offset;
 }
 
 bool ScoreStore::RefreshPeersLocked() {
   DIR* handle = ::opendir(dir_.c_str());
   if (handle == nullptr) return false;
+  const RecordVisitor absorb = [this](std::string_view bytes) {
+    const auto record = PayloadFrom<Payload>(bytes);
+    // try_emplace: an entry this writer paid for (or absorbed earlier)
+    // wins — deterministic scores agree, only provenance differs.
+    if (index_
+            .try_emplace(StoreKey{record.scope, record.lo, record.hi},
+                         Entry{record.score, /*from_peer=*/true})
+            .second) {
+      ++stats_.peer_records;
+      if (metric_peer_records_ != nullptr) metric_peer_records_->Increment();
+    }
+    return true;
+  };
   std::unordered_set<std::string> present;
   while (struct dirent* entry = ::readdir(handle)) {
     const std::string name = entry->d_name;
@@ -305,7 +120,8 @@ bool ScoreStore::RefreshPeersLocked() {
     if (!ParseSegmentName(name, &slot, &number)) continue;
     if (slot == options_.stream_slot) continue;  // own stream
     present.insert(name);
-    AbsorbPeerTail(name, &peers_[name]);
+    peers_.try_emplace(name, dir_ + "/" + name, kFormat)
+        .first->second.Absorb(absorb);
   }
   ::closedir(handle);
   // A tracked peer file that vanished was compacted (or removed) by
@@ -324,7 +140,7 @@ bool ScoreStore::RefreshPeersLocked() {
 
 bool ScoreStore::RefreshPeers() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return false;
+  if (!active_.is_open()) return false;
   if (options_.stream_slot < 0) return true;  // single-writer namespace
   const long long before = stats_.peer_records;
   if (!RefreshPeersLocked()) return false;
@@ -332,61 +148,31 @@ bool ScoreStore::RefreshPeers() {
   return true;
 }
 
-bool ScoreStore::OpenActiveSegment(long long number, bool truncate_to,
-                                   size_t valid) {
-  const std::string path = SegmentPath(number);
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd_ < 0) return false;
-  if (truncate_to) {
-    // Cut any torn/corrupt tail away so appended records extend the
-    // valid prefix instead of hiding behind garbage forever.
-    if (::ftruncate(fd_, static_cast<off_t>(valid)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    active_bytes_ = valid;
-  } else {
-    std::string header = SegmentHeader();
-    size_t written = 0;
-    if (::ftruncate(fd_, 0) != 0 ||
-        !WriteAll(fd_, header.data(), header.size(), &written) ||
-        ::fsync(fd_) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    SyncDirectory(dir_);
-    active_bytes_ = header.size();
-  }
-  if (::lseek(fd_, 0, SEEK_END) < 0) {
-    ::close(fd_);
-    fd_ = -1;
+bool ScoreStore::OpenActiveLocked(long long number,
+                                  const RecordVisitor& visit) {
+  RecordLogRecovery recovery;
+  if (!active_.Open(SegmentPath(number), kFormat, visit, &recovery)) {
     return false;
   }
+  CountRecovery(recovery);
   active_segment_ = number;
   return true;
 }
 
 bool ScoreStore::FailOpen(const std::string& message) {
   if (open_error_.empty()) open_error_ = message;
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  active_.Close();
   dir_lock_.Release();
   return false;
 }
 
 bool ScoreStore::Open(const std::string& dir, const Options& options) {
   std::lock_guard<std::mutex> lock(mutex_);
-  CERTA_CHECK(fd_ < 0);
+  CERTA_CHECK(!active_.is_open());
   dir_ = dir;
   options_ = options;
   index_.clear();
   peers_.clear();
-  buffer_.clear();
-  unsynced_appends_ = 0;
   stats_ = Stats();
   open_error_.clear();
   if (!util::EnsureDirectory(dir_)) {
@@ -404,7 +190,6 @@ bool ScoreStore::Open(const std::string& dir, const Options& options) {
   const std::string own_temp_prefix =
       "segment-w" + std::to_string(options_.stream_slot) + "-";
   std::vector<long long> segments;
-  std::vector<std::string> peer_names;
   std::vector<std::string> leftovers;
   DIR* handle = ::opendir(dir_.c_str());
   if (handle == nullptr) {
@@ -415,14 +200,11 @@ bool ScoreStore::Open(const std::string& dir, const Options& options) {
     int slot = -1;
     long long number = 0;
     if (ParseSegmentName(name, &slot, &number)) {
-      if (slot == options_.stream_slot) {
-        segments.push_back(number);
-      } else {
-        // A sibling stream's segment — or, in single-writer mode, a
-        // stream-named file left by an ex-fleet directory. Either way
-        // it is absorbed read-only below, never written or swept.
-        peer_names.push_back(name);
-      }
+      // Another slot's segment is a sibling stream — or, in
+      // single-writer mode, a stream-named file left by an ex-fleet
+      // directory. Either way RefreshPeersLocked absorbs it read-only
+      // below; it is never written or swept.
+      if (slot == options_.stream_slot) segments.push_back(number);
     } else if (name.find(".seg.tmp") != std::string::npos &&
                (!shared || name.compare(0, own_temp_prefix.size(),
                                         own_temp_prefix) == 0)) {
@@ -434,40 +216,33 @@ bool ScoreStore::Open(const std::string& dir, const Options& options) {
   ::closedir(handle);
   for (const std::string& path : leftovers) ::unlink(path.c_str());
   std::sort(segments.begin(), segments.end());
-  std::sort(peer_names.begin(), peer_names.end());
 
-  if (segments.empty()) {
-    if (!OpenActiveSegment(1, /*truncate_to=*/false, 0)) {
-      return FailOpen("cannot create active segment " + SegmentPath(1) +
-                      ": " + std::strerror(errno));
-    }
-    stats_.segments = 1;
-  } else {
-    for (long long number : segments) {
-      segment_valid_bytes_ = 0;
-      if (!LoadSegment(SegmentPath(number))) {
-        // Unreadable segment file: treat like a bad header — skip it.
-        ++stats_.bad_headers;
-      }
-    }
-    // The highest-numbered segment stays active; its recovery scan told
-    // us the valid prefix to truncate to. A bad-header active segment
-    // is rewritten from scratch (nothing in it was trusted).
-    const long long active = segments.back();
-    const bool rewrite = segment_valid_bytes_ < kHeaderSize;
-    if (!OpenActiveSegment(active, /*truncate_to=*/!rewrite,
-                           segment_valid_bytes_)) {
-      return FailOpen("cannot open active segment " + SegmentPath(active) +
-                      ": " + std::strerror(errno));
-    }
-    stats_.segments = segments.size();
+  const RecordVisitor load_own = [this](std::string_view bytes) {
+    const auto record = PayloadFrom<Payload>(bytes);
+    // Own bytes: overwrite, so a key a peer was absorbed for first
+    // regains its own provenance (this writer also paid for it).
+    index_[StoreKey{record.scope, record.lo, record.hi}] =
+        Entry{record.score, /*from_peer=*/false};
+    ++stats_.replayed_records;
+    return true;
+  };
+  for (size_t i = 0; i + 1 < segments.size(); ++i) {
+    RecordLogRecovery recovery;
+    ReadRecordLog(SegmentPath(segments[i]), kFormat, load_own, &recovery);
+    CountRecovery(recovery);
   }
+  // The highest-numbered segment stays active (a fresh store starts at
+  // 1); its torn tail is cut off and a bad header rewritten clean.
+  const long long active = segments.empty() ? 1 : segments.back();
+  if (!OpenActiveLocked(active, load_own)) {
+    return FailOpen("cannot open active segment " + SegmentPath(active) +
+                    ": " + std::strerror(errno));
+  }
+  stats_.segments = std::max<size_t>(segments.size(), 1);
   // Own segments first, peers second: a key both paid for keeps its
   // own provenance (own loads overwrite, peer absorption only inserts)
   // and peer_records counts only genuinely foreign entries.
-  for (const std::string& name : peer_names) {
-    AbsorbPeerTail(name, &peers_[name]);
-  }
+  RefreshPeersLocked();
   return true;
 }
 
@@ -475,7 +250,7 @@ bool ScoreStore::Lookup(uint64_t scope, const models::PairKey& key,
                         double* score, bool* from_peer) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (from_peer != nullptr) *from_peer = false;
-  if (fd_ < 0) return false;
+  if (!active_.is_open()) return false;
   ++stats_.lookups;
   if (metric_lookups_ != nullptr) metric_lookups_->Increment();
   auto it = index_.find(StoreKey{scope, key.lo, key.hi});
@@ -494,62 +269,38 @@ bool ScoreStore::Lookup(uint64_t scope, const models::PairKey& key,
 bool ScoreStore::Put(uint64_t scope, const models::PairKey& key,
                      double score) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return false;
+  if (!active_.is_open()) return false;
   auto [it, inserted] = index_.try_emplace(StoreKey{scope, key.lo, key.hi},
                                            Entry{score, /*from_peer=*/false});
   (void)it;
   if (!inserted) return true;  // deterministic scores: re-put is a no-op
-  AppendRecord(&buffer_, scope, key.lo, key.hi, score);
+  active_.Append(PayloadBytes(Payload{scope, key.lo, key.hi, score}));
   ++stats_.appends;
   if (metric_appends_ != nullptr) metric_appends_->Increment();
-  ++unsynced_appends_;
-  if (options_.sync_every > 0 && unsynced_appends_ >= options_.sync_every) {
-    if (!SyncLocked()) return false;
+  if (active_.size() + active_.pending_bytes() > options_.max_segment_bytes) {
+    // Roll to a fresh segment; the sync first keeps every buffered
+    // record on this side of the boundary.
+    if (!SyncLocked() || !OpenActiveLocked(active_segment_ + 1, nullptr)) {
+      return false;
+    }
+    ++stats_.segments;
   }
-  if (active_bytes_ + buffer_.size() > options_.max_segment_bytes) {
-    if (!SyncLocked()) return false;
-    if (!RollSegmentLocked()) return false;
-  }
-  return true;
-}
-
-bool ScoreStore::RollSegmentLocked() {
-  ::close(fd_);
-  fd_ = -1;
-  if (!OpenActiveSegment(active_segment_ + 1, /*truncate_to=*/false, 0)) {
-    return false;
-  }
-  // The roll was preceded by a SyncLocked (nothing buffered crosses a
-  // segment boundary), so the self-sync cadence starts over with the
-  // fresh segment rather than inheriting the old file's countdown.
-  unsynced_appends_ = 0;
-  ++stats_.segments;
   return true;
 }
 
 bool ScoreStore::SyncLocked() {
-  if (fd_ < 0) return false;
-  if (!buffer_.empty()) {
-    size_t written = 0;
-    bool ok = WriteAll(fd_, buffer_.data(), buffer_.size(), &written);
-    active_bytes_ += written;
-    buffer_.erase(0, written);
-    if (!ok) return false;
-  }
-  unsynced_appends_ = 0;
+  if (!active_.is_open()) return false;
   if (metric_syncs_ != nullptr) metric_syncs_->Increment();
-  return ::fsync(fd_) == 0;
+  return active_.Sync();
 }
 
 bool ScoreStore::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return false;
   return SyncLocked();
 }
 
 bool ScoreStore::Compact() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return false;
   if (!SyncLocked()) return false;
 
   // Shared mode: the directory-wide lease serializes compactions so at
@@ -569,31 +320,25 @@ bool ScoreStore::Compact() {
   // stream) are rewritten: every byte on disk keeps exactly one
   // writer, and a sibling-paid entry stays durable in the sibling's
   // stream where its owner compacts it.
-  std::string content = SegmentHeader();
-  content.reserve(kHeaderSize + index_.size() * kRecordSize);
+  std::string records;
   for (const auto& [key, entry] : index_) {
     if (entry.from_peer) continue;
-    AppendRecord(&content, key.scope, key.lo, key.hi, entry.score);
+    FrameRecord(kFormat,
+                PayloadBytes(Payload{key.scope, key.lo, key.hi, entry.score}),
+                &records);
   }
   const long long next = active_segment_ + 1;
-  // util::AtomicWriteFile is the append-then-rename discipline: temp in
-  // the same directory, fsync, rename, directory fsync. A kill before
-  // the rename leaves only a swept-on-open temp; after it, the new
-  // segment is complete and old ones are at worst duplicated.
-  if (!util::AtomicWriteFile(SegmentPath(next), content)) return false;
-  ::close(fd_);
-  fd_ = -1;
+  // A kill before the atomic rename leaves only a swept-on-open temp;
+  // after it, the new segment is complete and old ones are at worst
+  // duplicated.
+  if (!RewriteRecordLog(SegmentPath(next), kFormat, records)) return false;
+  active_.Close();
   for (long long number = active_segment_; number >= 1; --number) {
     const std::string path = SegmentPath(number);
     if (util::PathExists(path)) ::unlink(path.c_str());
   }
-  SyncDirectory(dir_);
-  if (!OpenActiveSegment(next, /*truncate_to=*/true, content.size())) {
-    return false;
-  }
-  // Everything buffered was flushed above and the rewrite is fully
-  // fsynced — the self-sync countdown restarts at zero.
-  unsynced_appends_ = 0;
+  util::SyncDirectory(dir_);
+  if (!OpenActiveLocked(next, nullptr)) return false;
   stats_.segments = 1;
   ++stats_.compactions;
   if (metric_compactions_ != nullptr) metric_compactions_->Increment();
@@ -602,10 +347,9 @@ bool ScoreStore::Compact() {
 
 void ScoreStore::Close() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ >= 0) {
+  if (active_.is_open()) {
     SyncLocked();
-    ::close(fd_);
-    fd_ = -1;
+    active_.Close();
   }
   dir_lock_.Release();
 }

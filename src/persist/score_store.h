@@ -10,6 +10,7 @@
 #include "models/scoring_engine.h"
 #include "obs/metrics.h"
 #include "persist/dir_lock.h"
+#include "persist/record_log.h"
 
 namespace certa::persist {
 
@@ -32,18 +33,15 @@ namespace certa::persist {
 /// model retrained on different data — land in disjoint scopes, so one
 /// store directory safely serves heterogeneous traffic.
 ///
-/// On-disk format (host-endian, single-machine durability), one or
-/// more segment files:
-///   header:  8-byte magic "CERTASST" + uint32 version (1)
-///   record:  uint64 scope | uint64 key.lo | uint64 key.hi |
-///            double score | uint32 crc
-/// where crc is CRC-32 (util::Crc32) over the 32 payload bytes. The
-/// highest-numbered segment is the active one; appends go there
-/// (buffered; Sync() is the durability boundary, journal-style).
-/// Recovery trusts exactly the longest CRC-valid record prefix of each
-/// segment — torn, truncated, or bit-flipped tails are truncated away,
-/// never interpreted — and segments are loaded mmap(2)-ed read-only
-/// when possible (falling back to a plain read).
+/// On-disk format: one or more segment files, each a persist::RecordLog
+/// (record_log.h, which owns the framing, the recovery rule and the
+/// failure policy) with the header "CERTASST" + uint32 version (1) and
+/// 32-byte binary payloads:
+///   uint64 scope | uint64 key.lo | uint64 key.hi | double score
+/// The highest-numbered segment is the active one; appends go there
+/// (buffered; Sync() is the durability boundary, journal-style). Open
+/// trusts the longest valid record prefix of each segment and cuts the
+/// active segment's torn tail off.
 ///
 /// Sharing (Options::stream_slot >= 0). One directory can be the
 /// namespace for a whole worker fleet: every byte on disk has exactly
@@ -52,11 +50,9 @@ namespace certa::persist {
 /// stream lock-free. Exclusivity shrinks from the whole directory to
 /// the stream (".lock-w<slot>"): two processes can never own the same
 /// stream, but siblings coexist. Sibling segments are absorbed on Open
-/// and re-absorbed incrementally by RefreshPeers(), which extends each
-/// peer file's trusted prefix exactly as recovery would — a torn or
-/// in-flight sibling tail is simply not absorbed yet, never
-/// interpreted, and never modified on disk (its owner truncates it on
-/// its own next Open). Entries paid by a sibling are flagged, so
+/// and re-absorbed incrementally by RefreshPeers(), one
+/// persist::PeerTail per sibling file (a torn or in-flight tail waits
+/// for its owner). Entries paid by a sibling are flagged, so
 /// Stats::peer_hits tells cross-worker reuse apart from own hits.
 /// With stream_slot = -1 (default) the store is a single-writer
 /// namespace using legacy `segment-NNNNNN.seg` names; stream-named
@@ -64,10 +60,9 @@ namespace certa::persist {
 /// absorbed read-only as peers.
 ///
 /// Compaction rewrites this writer's live entries into a single
-/// next-numbered segment of its own stream via the append-then-rename
-/// discipline (temp file + fsync + atomic rename + directory fsync,
-/// util::AtomicWriteFile), then unlinks the stream's old segments —
-/// never a sibling's. In shared mode the directory-wide flock'd
+/// next-numbered segment of its own stream (persist::RewriteRecordLog,
+/// an atomic rename), then unlinks the stream's old segments — never a
+/// sibling's. In shared mode the directory-wide flock'd
 /// compaction lease (".compact-lease") serializes rewrites so at most
 /// one worker churns the directory at a time; a busy lease skips the
 /// compaction (it retries on a later call). A crash at any point
@@ -81,12 +76,6 @@ class ScoreStore {
     /// Roll the active segment once it exceeds this many bytes (keeps
     /// any single recovery scan and compaction rewrite bounded).
     size_t max_segment_bytes = 8u << 20;
-    /// When > 0, Put() self-syncs after this many buffered appends;
-    /// 0 leaves durability entirely to explicit Sync() calls.
-    int sync_every = 0;
-    /// Load segments through mmap(2); disable to force the plain-read
-    /// path (the two are byte-equivalent — see score_store_test).
-    bool use_mmap = true;
     /// Hold a flock-based DirLock for the lifetime of the open store,
     /// so two processes can never attach the same writer namespace
     /// (serve and the fleet workers enable this; plain library use
@@ -151,7 +140,7 @@ class ScoreStore {
   bool Open(const std::string& dir, const Options& options);
   bool Open(const std::string& dir) { return Open(dir, Options()); }
 
-  bool is_open() const { return fd_ >= 0; }
+  bool is_open() const { return active_.is_open(); }
 
   /// True (and *score set) on a hit. Thread-safe; counts one lookup
   /// and, on success, one hit. When `from_peer` is non-null it is set
@@ -232,30 +221,12 @@ class ScoreStore {
     /// Paid by a sibling stream (vs appended/loaded by this writer).
     bool from_peer = false;
   };
-  /// Incremental absorption state of one sibling/foreign segment file,
-  /// keyed by file name. `absorbed` is the trusted prefix already
-  /// merged; RefreshPeers extends it monotonically.
-  struct PeerFile {
-    size_t absorbed = 0;
-    bool header_ok = false;
-    /// Bad magic/version once the header was big enough to judge:
-    /// never trusted, never re-read.
-    bool ignored = false;
-  };
-
-  /// Parses one own-stream segment file into the index. Returns false
-  /// only on an unreadable file (missing/IO error); corruption is
-  /// handled by truncation-to-valid-prefix accounting, not failure.
-  bool LoadSegment(const std::string& path);
-  /// Validates `data` (header + records) and merges the valid prefix
-  /// into `index_`; returns the number of valid bytes (0 on a bad
-  /// header).
-  size_t AbsorbSegment(const char* data, size_t size, bool* bad_header);
-  /// Extends `peer`'s absorbed prefix from the file's current bytes.
-  void AbsorbPeerTail(const std::string& name, PeerFile* peer);
+  /// Adds one Open-time recovery report to the stats.
+  void CountRecovery(const RecordLogRecovery& recovery);
   bool RefreshPeersLocked();
-  bool OpenActiveSegment(long long number, bool truncate_to, size_t valid);
-  bool RollSegmentLocked();
+  /// Opens own segment `number` as the active log, loading its records
+  /// through `visit`.
+  bool OpenActiveLocked(long long number, const RecordVisitor& visit);
   bool SyncLocked();
   /// Records the failure reason (keeping an earlier, more specific one
   /// if already set), drops any held lock/fd, and returns false — the
@@ -271,16 +242,11 @@ class ScoreStore {
   Options options_;
   DirLock dir_lock_;
   std::string open_error_;
-  int fd_ = -1;
+  RecordLog active_;
   long long active_segment_ = 0;
-  size_t active_bytes_ = 0;
-  /// Valid byte count reported by the most recent LoadSegment call
-  /// (consulted for the active segment's truncation point on Open).
-  size_t segment_valid_bytes_ = 0;
-  std::string buffer_;
-  int unsynced_appends_ = 0;
   std::unordered_map<StoreKey, Entry, StoreKeyHasher> index_;
-  std::unordered_map<std::string, PeerFile> peers_;
+  /// Sibling/foreign segment files by name.
+  std::unordered_map<std::string, PeerTail> peers_;
   Stats stats_;
   obs::Counter* metric_lookups_ = nullptr;
   obs::Counter* metric_hits_ = nullptr;

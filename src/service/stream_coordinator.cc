@@ -1,12 +1,9 @@
 #include "service/stream_coordinator.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "data/benchmarks.h"
@@ -20,33 +17,13 @@
 namespace certa::service {
 namespace {
 
-constexpr char kWalHeader[] = "CERTASTREAM v1\n";
-constexpr size_t kWalHeaderLen = sizeof(kWalHeader) - 1;
+constexpr persist::RecordFormat kWalFormat{"CERTASTREAM v1\n", 0};
 constexpr char kCheckpointMagic[] = "CERTASTRCKPT v1 ";
-
-std::string HexCrc(uint32_t crc) {
-  char buffer[9];
-  std::snprintf(buffer, sizeof(buffer), "%08x", crc);
-  return std::string(buffer, 8);
-}
-
-bool ParseHexCrc(std::string_view text, uint32_t* crc) {
-  if (text.size() != 8) return false;
-  uint32_t value = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | static_cast<uint32_t>(digit);
-  }
-  *crc = value;
-  return true;
-}
+/// Rewrite the state checkpoint after this many applied or absorbed
+/// ops (Close always checkpoints).
+constexpr int kCheckpointEvery = 64;
+/// Minimum interval between MaybeAbsorbPeers directory scans.
+constexpr int64_t kAbsorbIntervalMs = 200;
 
 void WriteRecordFields(JsonWriter* writer,
                        const std::string& dataset,
@@ -107,13 +84,12 @@ int64_t StreamCoordinator::NowMs() const {
 
 bool StreamCoordinator::Open(const Options& options, std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ >= 0) {
+  if (wal_.is_open()) {
     if (error != nullptr) *error = "stream coordinator already open";
     return false;
   }
   options_ = options;
   if (options_.slot < 0) options_.slot = 0;
-  if (options_.checkpoint_every < 1) options_.checkpoint_every = 1;
   if (!util::EnsureDirectory(options_.dir)) {
     if (error != nullptr) {
       *error = "cannot create stream directory " + options_.dir;
@@ -121,33 +97,59 @@ bool StreamCoordinator::Open(const Options& options, std::string* error) {
     return false;
   }
   if (options_.metrics != nullptr) {
-    metric_ops_ = options_.metrics->counter("stream_ops_applied");
-    metric_absorbed_ = options_.metrics->counter("stream_ops_absorbed");
+    metric_ops_ = options_.metrics->counter("stream.ops_applied");
+    metric_absorbed_ = options_.metrics->counter("stream.ops_absorbed");
     metric_invalidations_ =
-        options_.metrics->counter("stream_invalidations");
-    metric_checkpoints_ = options_.metrics->counter("stream_checkpoints");
+        options_.metrics->counter("stream.invalidations");
+    metric_checkpoints_ = options_.metrics->counter("stream.checkpoints");
   }
 
   // 1. Derived state from the last atomic checkpoint, when it is valid.
   //    A missing or corrupt checkpoint just means replaying every
   //    stream from its header — slower, never wrong.
-  std::string checkpoint_error;
-  LoadCheckpointLocked(&checkpoint_error);
+  size_t own_offset = 0;
+  LoadCheckpointLocked(&own_offset);
 
-  // 2. The own stream is the only file this worker may write: truncate
-  //    a torn (never fsync'd) tail so the append point is clean.
-  if (!RecoverOwnWalLocked(error)) return false;
+  // 2. The own stream is the only file this worker may write: the log
+  //    cuts a torn (never fsync'd) tail so the append point is clean.
+  const std::string own_path =
+      options_.dir + "/" + WalFileName(options_.slot);
+  persist::RecordLogRecovery recovery;
+  if (!wal_.Open(own_path, kWalFormat,
+                 [](std::string_view payload) {
+                   StreamOp op;
+                   return ParseOp(payload, &op);
+                 },
+                 &recovery)) {
+    if (error != nullptr) {
+      *error = "cannot open stream wal " + own_path + ": " +
+               std::strerror(errno);
+    }
+    return false;
+  }
+  stats_.torn_bytes_dropped += static_cast<long long>(recovery.dropped_bytes);
+  if (recovery.bad_header || own_offset > wal_.size()) {
+    // The checkpoint may describe ops that did not survive in the
+    // stream — it is from a future that never became durable. Start
+    // derived state over from the streams themselves.
+    overlays_.clear();
+    mods_.clear();
+    deps_.clear();
+    watchers_.clear();
+    stale_.clear();
+    peers_.clear();
+    clock_ = 0;
+    own_offset = 0;
+  }
 
   // 3. Replay the own tail, then absorb every sibling tail, so the
   //    in-memory overlays reflect everything durable in the directory.
-  const std::string own_path =
-      options_.dir + "/" + WalFileName(options_.slot);
   std::vector<Invalidation> ignored;
-  const long long absorbed_before = stats_.ops_absorbed;
-  AbsorbFileLocked(own_path, &offsets_[WalFileName(options_.slot)],
-                   &ignored);
-  stats_.replayed_ops += stats_.ops_absorbed - absorbed_before;
-  stats_.ops_absorbed = absorbed_before;
+  persist::PeerTail own(own_path, kWalFormat, own_offset);
+  stats_.replayed_ops += static_cast<long long>(
+      own.Absorb([this, &ignored](std::string_view payload) {
+        return ApplyPayloadLocked(payload, &ignored);
+      }));
   AbsorbPeersLocked();
 
   // 4. Staleness is derived, never persisted: re-judge every
@@ -155,25 +157,14 @@ bool StreamCoordinator::Open(const Options& options, std::string* error) {
   for (auto it = deps_.begin(); it != deps_.end(); ++it) {
     RecomputeJobStalenessLocked(it->first);
   }
-
-  fd_ = ::open(own_path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    if (error != nullptr) {
-      *error = "cannot open stream wal " + own_path + " for append: " +
-               std::strerror(errno);
-    }
-    return false;
-  }
-  last_absorb_ms_ = NowMs();
   return true;
 }
 
 void StreamCoordinator::Close() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return;
+  if (!wal_.is_open()) return;
   WriteCheckpointLocked();
-  ::close(fd_);
-  fd_ = -1;
+  wal_.Close();
 }
 
 StreamCoordinator::Overlay* StreamCoordinator::GetOverlayLocked(
@@ -331,34 +322,32 @@ bool StreamCoordinator::ParseOp(std::string_view json, StreamOp* op) {
   return true;
 }
 
-bool StreamCoordinator::AppendOpLocked(const StreamOp& op,
-                                       std::string* error) {
-  const std::string json = SerializeOp(op);
-  const std::string line = HexCrc(util::Crc32(json)) + " " + json + "\n";
-  size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n =
-        ::write(fd_, line.data() + written, line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (error != nullptr) {
-        *error = std::string("stream wal write failed: ") +
-                 std::strerror(errno);
-      }
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd_) != 0) {
+bool StreamCoordinator::CommitLocked(const StreamOp& op, Ack* ack,
+                                     std::vector<Invalidation>* invalidated,
+                                     std::string* error) {
+  wal_.Append(SerializeOp(op));
+  if (!wal_.Sync()) {
     if (error != nullptr) {
-      *error =
-          std::string("stream wal fsync failed: ") + std::strerror(errno);
+      *error = std::string("stream wal append failed: ") +
+               std::strerror(errno);
     }
     return false;
   }
-  // The own stream's absorbed offset tracks the bytes this process has
-  // already applied, so re-opening after a clean run replays nothing.
-  offsets_[WalFileName(options_.slot)] += line.size();
+  ApplyOpLocked(op, ack, invalidated);
+  if (op.kind != StreamOp::Kind::kDeps) {
+    ++stats_.ops_applied;
+    if (metric_ops_ != nullptr) metric_ops_->Increment();
+  }
+  MaybeCheckpointLocked();
+  return true;
+}
+
+bool StreamCoordinator::ApplyPayloadLocked(
+    std::string_view payload, std::vector<Invalidation>* invalidated) {
+  StreamOp op;
+  if (!ParseOp(payload, &op)) return false;
+  if (op.seq > clock_) clock_ = op.seq;  // Lamport receive
+  ApplyOpLocked(op, nullptr, invalidated);
   return true;
 }
 
@@ -478,8 +467,6 @@ bool StreamCoordinator::ApplyOpLocked(
     removed = overlay->sides[op.side].Remove(op.record.id);
     ++stats_.removes;
   }
-  ++stats_.ops_applied;
-  if (metric_ops_ != nullptr) metric_ops_->Increment();
   if (ack != nullptr) {
     ack->seq = op.seq;
     ack->slot = op.slot;
@@ -496,7 +483,7 @@ StreamCoordinator::OpStatus StreamCoordinator::Upsert(
     const data::Record& record, Ack* ack,
     std::vector<Invalidation>* invalidated, std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) {
+  if (!wal_.is_open()) {
     if (error != nullptr) *error = "stream coordinator not open";
     return OpStatus::kIo;
   }
@@ -527,9 +514,7 @@ StreamCoordinator::OpStatus StreamCoordinator::Upsert(
   op.data_dir = data_dir;
   op.side = side;
   op.record = record;
-  if (!AppendOpLocked(op, error)) return OpStatus::kIo;
-  ApplyOpLocked(op, ack, invalidated);
-  MaybeCheckpointLocked();
+  if (!CommitLocked(op, ack, invalidated, error)) return OpStatus::kIo;
   return OpStatus::kOk;
 }
 
@@ -538,7 +523,7 @@ StreamCoordinator::OpStatus StreamCoordinator::Remove(
     int record_id, Ack* ack, std::vector<Invalidation>* invalidated,
     std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) {
+  if (!wal_.is_open()) {
     if (error != nullptr) *error = "stream coordinator not open";
     return OpStatus::kIo;
   }
@@ -550,9 +535,9 @@ StreamCoordinator::OpStatus StreamCoordinator::Remove(
     if (error != nullptr) *error = "record id must be >= 0";
     return OpStatus::kBadRecord;
   }
-  Overlay* overlay = GetOverlayLocked(dataset, data_dir, error);
-  if (overlay == nullptr) return OpStatus::kUnknownDataset;
-  (void)overlay;
+  if (GetOverlayLocked(dataset, data_dir, error) == nullptr) {
+    return OpStatus::kUnknownDataset;
+  }
   StreamOp op;
   op.kind = StreamOp::Kind::kRemove;
   op.seq = ++clock_;
@@ -561,9 +546,7 @@ StreamCoordinator::OpStatus StreamCoordinator::Remove(
   op.data_dir = data_dir;
   op.side = side;
   op.record.id = record_id;
-  if (!AppendOpLocked(op, error)) return OpStatus::kIo;
-  ApplyOpLocked(op, ack, invalidated);
-  MaybeCheckpointLocked();
+  if (!CommitLocked(op, ack, invalidated, error)) return OpStatus::kIo;
   return OpStatus::kOk;
 }
 
@@ -627,7 +610,7 @@ bool StreamCoordinator::ProvideDataset(const api::ExplainRequest& request,
   *dataset = overlay->base;
   dataset->left = overlay->sides[0].Materialize();
   dataset->right = overlay->sides[1].Materialize();
-  if (fd_ < 0 || request.id.empty() || request.pair_index < 0 ||
+  if (!wal_.is_open() || request.id.empty() || request.pair_index < 0 ||
       request.pair_index >= static_cast<int>(dataset->test.size())) {
     // Nothing to register (anonymous request or the runner will reject
     // the pair index anyway) — still serve the overlay view.
@@ -653,10 +636,7 @@ bool StreamCoordinator::ProvideDataset(const api::ExplainRequest& request,
   right.id = dataset->right.record(pair.right_index).id;
   op.dep_records.push_back(std::move(left));
   op.dep_records.push_back(std::move(right));
-  if (!AppendOpLocked(op, error)) return false;
-  ApplyOpLocked(op, nullptr, nullptr);
-  MaybeCheckpointLocked();
-  return true;
+  return CommitLocked(op, nullptr, nullptr, error);
 }
 
 bool StreamCoordinator::IsStale(const std::string& job_id) const {
@@ -673,7 +653,7 @@ std::vector<StreamCoordinator::Invalidation>
 StreamCoordinator::MaybeAbsorbPeers() {
   std::lock_guard<std::mutex> lock(mutex_);
   const int64_t now = NowMs();
-  if (now - last_absorb_ms_ < options_.absorb_interval_ms) return {};
+  if (now - last_absorb_ms_ < kAbsorbIntervalMs) return {};
   return AbsorbPeersLocked();
 }
 
@@ -703,149 +683,33 @@ StreamCoordinator::AbsorbPeersLocked() {
   ::closedir(dir);
   std::sort(peers.begin(), peers.end());
   for (const std::string& name : peers) {
-    const long long before = stats_.ops_absorbed;
-    AbsorbFileLocked(options_.dir + "/" + name, &offsets_[name],
-                     &invalidated);
+    persist::PeerTail& tail =
+        peers_.try_emplace(name, options_.dir + "/" + name, kWalFormat)
+            .first->second;
+    const size_t absorbed =
+        tail.Absorb([this, &invalidated](std::string_view payload) {
+          return ApplyPayloadLocked(payload, &invalidated);
+        });
+    stats_.ops_absorbed += static_cast<long long>(absorbed);
     if (metric_absorbed_ != nullptr) {
-      metric_absorbed_->Add(stats_.ops_absorbed - before);
+      metric_absorbed_->Add(static_cast<long long>(absorbed));
     }
   }
   MaybeCheckpointLocked();
   return invalidated;
 }
 
-void StreamCoordinator::AbsorbFileLocked(
-    const std::string& path, size_t* offset,
-    std::vector<Invalidation>* invalidated) {
-  std::string content;
-  if (!util::ReadFileToString(path, &content)) return;
-  if (*offset == 0) {
-    if (content.size() < kWalHeaderLen ||
-        content.compare(0, kWalHeaderLen, kWalHeader) != 0) {
-      return;  // header not durable yet (or not a stream file)
-    }
-    *offset = kWalHeaderLen;
-  }
-  if (content.size() < *offset) return;  // should not happen; be safe
-  size_t pos = *offset;
-  while (pos < content.size()) {
-    const size_t newline = content.find('\n', pos);
-    if (newline == std::string::npos) break;  // incomplete tail line
-    const std::string_view line(content.data() + pos, newline - pos);
-    const size_t space = line.find(' ');
-    uint32_t expected = 0;
-    if (space == std::string_view::npos ||
-        !ParseHexCrc(line.substr(0, space), &expected)) {
-      break;  // torn or foreign bytes — the owner's problem, not ours
-    }
-    const std::string_view json = line.substr(space + 1);
-    if (util::Crc32(json.data(), json.size()) != expected) break;
-    StreamOp op;
-    if (!ParseOp(json, &op)) break;
-    if (op.seq > clock_) clock_ = op.seq;  // Lamport receive
-    ApplyOpLocked(op, nullptr, invalidated);
-    ++stats_.ops_absorbed;
-    pos = newline + 1;
-  }
-  *offset = pos;
-}
-
-bool StreamCoordinator::RecoverOwnWalLocked(std::string* error) {
-  const std::string path =
-      options_.dir + "/" + WalFileName(options_.slot);
-  std::string content;
-  if (!util::ReadFileToString(path, &content)) {
-    // Fresh stream: write the header durably before any op can land.
-    if (!util::AtomicWriteFile(path, kWalHeader)) {
-      if (error != nullptr) {
-        *error = "cannot create stream wal " + path;
-      }
-      return false;
-    }
-    offsets_[WalFileName(options_.slot)] = kWalHeaderLen;
-    return true;
-  }
-  size_t valid = 0;
-  if (content.size() >= kWalHeaderLen &&
-      content.compare(0, kWalHeaderLen, kWalHeader) == 0) {
-    valid = kWalHeaderLen;
-    while (valid < content.size()) {
-      const size_t newline = content.find('\n', valid);
-      if (newline == std::string::npos) break;
-      const std::string_view line(content.data() + valid, newline - valid);
-      const size_t space = line.find(' ');
-      uint32_t expected = 0;
-      if (space == std::string_view::npos ||
-          !ParseHexCrc(line.substr(0, space), &expected)) {
-        break;
-      }
-      const std::string_view json = line.substr(space + 1);
-      if (util::Crc32(json.data(), json.size()) != expected) break;
-      StreamOp op;
-      if (!ParseOp(json, &op)) break;
-      valid = newline + 1;
-    }
-  }
-  if (valid < content.size()) {
-    stats_.torn_bytes_dropped +=
-        static_cast<long long>(content.size() - valid);
-    if (valid == 0) {
-      // Header itself is torn: rewrite the file from scratch.
-      if (!util::AtomicWriteFile(path, kWalHeader)) {
-        if (error != nullptr) {
-          *error = "cannot rewrite stream wal " + path;
-        }
-        return false;
-      }
-      // Checkpoint state may describe ops from the vanished prefix;
-      // distrust it entirely rather than mix epochs.
-      overlays_.clear();
-      mods_.clear();
-      deps_.clear();
-      watchers_.clear();
-      stale_.clear();
-      offsets_.clear();
-      offsets_[WalFileName(options_.slot)] = kWalHeaderLen;
-      clock_ = 0;
-      return true;
-    }
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-    if (fd < 0 ||
-        ::ftruncate(fd, static_cast<off_t>(valid)) != 0 ||
-        ::fsync(fd) != 0) {
-      if (fd >= 0) ::close(fd);
-      if (error != nullptr) {
-        *error = "cannot truncate torn stream wal tail in " + path;
-      }
-      return false;
-    }
-    ::close(fd);
-  }
-  size_t& own_offset = offsets_[WalFileName(options_.slot)];
-  if (own_offset > valid) {
-    // The checkpoint claims more of our stream than survived — it is
-    // from a future that never became durable. Start derived state
-    // over from the stream itself.
-    overlays_.clear();
-    mods_.clear();
-    deps_.clear();
-    watchers_.clear();
-    stale_.clear();
-    offsets_.clear();
-    clock_ = 0;
-    offsets_[WalFileName(options_.slot)] = kWalHeaderLen;
-  } else if (own_offset == 0) {
-    own_offset = kWalHeaderLen;
-  }
-  return true;
-}
-
 void StreamCoordinator::MaybeCheckpointLocked() {
-  if (ops_since_checkpoint_ < options_.checkpoint_every) return;
+  if (ops_since_checkpoint_ < kCheckpointEvery) return;
   WriteCheckpointLocked();
 }
 
 bool StreamCoordinator::WriteCheckpointLocked() {
+  if (!wal_.is_open()) return false;
+  // Sorted by file name, the own stream among its siblings.
+  std::map<std::string, size_t> offsets;
+  offsets[WalFileName(options_.slot)] = wal_.size();
+  for (const auto& [name, tail] : peers_) offsets[name] = tail.absorbed();
   JsonWriter writer;
   writer.BeginObject();
   writer.Key("schema_version");
@@ -856,7 +720,7 @@ bool StreamCoordinator::WriteCheckpointLocked() {
   writer.Int(static_cast<long long>(clock_));
   writer.Key("offsets");
   writer.BeginObject();
-  for (const auto& [name, offset] : offsets_) {
+  for (const auto& [name, offset] : offsets) {
     writer.Key(name);
     writer.Int(static_cast<long long>(offset));
   }
@@ -969,7 +833,8 @@ bool StreamCoordinator::WriteCheckpointLocked() {
   writer.EndObject();
   const std::string& payload = writer.str();
   const std::string content =
-      kCheckpointMagic + HexCrc(util::Crc32(payload)) + "\n" + payload;
+      kCheckpointMagic + util::Crc32Hex(util::Crc32(payload)) + "\n" +
+      payload;
   const std::string path =
       options_.dir + "/" + CheckpointFileName(options_.slot);
   if (!util::AtomicWriteFile(path, content)) return false;
@@ -979,38 +844,28 @@ bool StreamCoordinator::WriteCheckpointLocked() {
   return true;
 }
 
-bool StreamCoordinator::LoadCheckpointLocked(std::string* error) {
+bool StreamCoordinator::LoadCheckpointLocked(size_t* own_offset) {
   const std::string path =
       options_.dir + "/" + CheckpointFileName(options_.slot);
   std::string content;
-  if (!util::ReadFileToString(path, &content)) {
-    if (error != nullptr) *error = "no checkpoint";
-    return false;
-  }
+  if (!util::ReadFileToString(path, &content)) return false;
+  // "<magic><crc hex>\n<payload>", CRC over the payload.
   const size_t magic_len = sizeof(kCheckpointMagic) - 1;
+  uint32_t expected = 0;
   if (content.size() < magic_len + 9 ||
       content.compare(0, magic_len, kCheckpointMagic) != 0 ||
-      content[magic_len + 8] != '\n') {
-    if (error != nullptr) *error = "checkpoint header malformed";
-    return false;
-  }
-  uint32_t expected = 0;
-  if (!ParseHexCrc(
+      content[magic_len + 8] != '\n' ||
+      !util::ParseCrc32Hex(
           std::string_view(content.data() + magic_len, 8), &expected)) {
-    if (error != nullptr) *error = "checkpoint crc malformed";
     return false;
   }
   const std::string_view payload(content.data() + magic_len + 9,
                                  content.size() - magic_len - 9);
-  if (util::Crc32(payload.data(), payload.size()) != expected) {
-    if (error != nullptr) *error = "checkpoint crc mismatch";
-    return false;
-  }
+  if (util::Crc32(payload.data(), payload.size()) != expected) return false;
   JsonValue root;
   std::string parse_error;
   if (!JsonValue::Parse(payload, &root, &parse_error) ||
       !root.is_object()) {
-    if (error != nullptr) *error = "checkpoint json invalid";
     return false;
   }
   long long clock = 0;
@@ -1022,13 +877,19 @@ bool StreamCoordinator::LoadCheckpointLocked(std::string* error) {
   if (offsets == nullptr || !offsets->is_object() || datasets == nullptr ||
       !datasets->is_array() || mods == nullptr || !mods->is_array() ||
       deps == nullptr || !deps->is_array()) {
-    if (error != nullptr) *error = "checkpoint sections missing";
     return false;
   }
   clock_ = static_cast<uint64_t>(clock);
+  const std::string own = WalFileName(options_.slot);
   for (const auto& [name, value] : offsets->object_items()) {
-    if (value.is_integer() && value.int_value() >= 0) {
-      offsets_[name] = static_cast<size_t>(value.int_value());
+    if (!value.is_integer() || value.int_value() < 0) continue;
+    const size_t offset = static_cast<size_t>(value.int_value());
+    if (name == own) {
+      *own_offset = offset;
+    } else {
+      peers_.insert_or_assign(
+          name, persist::PeerTail(options_.dir + "/" + name, kWalFormat,
+                                  offset));
     }
   }
   for (const JsonValue& entry : datasets->array_items()) {

@@ -14,6 +14,7 @@
 #include "data/dataset.h"
 #include "data/mutable_table.h"
 #include "obs/metrics.h"
+#include "persist/record_log.h"
 
 namespace certa::service {
 
@@ -24,16 +25,20 @@ namespace certa::service {
 ///
 /// Durability mirrors the score store's shared-directory discipline
 /// (persist::ScoreStore): one stream directory serves the whole fleet,
-/// every byte has exactly one writer. Worker `slot` appends CRC'd ops
-/// to its own `ops-w<slot>.wal` (fsync BEFORE the ack frame goes out,
-/// so an acked upsert survives SIGKILL), absorbs sibling streams
-/// read-only from remembered offsets (torn or in-flight tails are
-/// simply not absorbed yet, never interpreted), and checkpoints its
+/// every byte has exactly one writer. Worker `slot` appends each op to
+/// its own `ops-w<slot>.wal`, a persist::RecordLog (record_log.h, which
+/// owns the framing, the recovery rule and the failure policy) with the
+/// header "CERTASTREAM v1\n" and one text record per op whose payload
+/// is the op's JSON. The fsync happens BEFORE the ack frame goes out,
+/// so an acked upsert survives SIGKILL, and a refused append is cut
+/// back, so it never becomes durable. Sibling streams are absorbed
+/// read-only through persist::PeerTail from remembered offsets, and the
 /// whole derived state — overlay tables, absorbed offsets, dependency
-/// registry — atomically to `state-w<slot>.ckpt` so a restart replays
-/// only each stream's tail. A corrupt checkpoint is never trusted:
-/// recovery falls back to replaying every stream from byte 0, which is
-/// always safe because ops converge by per-record last-writer-wins.
+/// registry — is checkpointed atomically to `state-w<slot>.ckpt` so a
+/// restart replays only each stream's tail. A corrupt checkpoint is
+/// never trusted: recovery falls back to replaying every stream from
+/// byte 0, which is always safe because ops converge by per-record
+/// last-writer-wins.
 ///
 /// Ordering. Every op carries a Lamport sequence (seq, slot): local
 /// ops take seq = ++clock, absorbed ops advance the clock, and a
@@ -63,11 +68,6 @@ class StreamCoordinator {
     /// This writer's stream slot (fleet workers pass their worker
     /// slot; single-process serving uses 0).
     int slot = 0;
-    /// Rewrite the atomic state checkpoint after this many locally
-    /// applied or absorbed ops (Close always checkpoints).
-    int checkpoint_every = 64;
-    /// Minimum interval between MaybeAbsorbPeers directory scans.
-    long long absorb_interval_ms = 200;
     /// Observability (not owned; nullptr = uninstrumented).
     obs::MetricsRegistry* metrics = nullptr;
   };
@@ -113,6 +113,7 @@ class StreamCoordinator {
 
   struct Stats {
     uint64_t clock = 0;
+    /// Upserts/removes this writer accepted (not replayed or absorbed).
     long long ops_applied = 0;
     long long ops_absorbed = 0;
     long long upserts = 0;
@@ -133,11 +134,11 @@ class StreamCoordinator {
   StreamCoordinator& operator=(const StreamCoordinator&) = delete;
 
   /// Loads the checkpoint (when valid), recovers the own stream
-  /// (truncating a torn tail), replays every stream's unabsorbed tail,
+  /// (cutting a torn tail), replays every stream's unabsorbed tail,
   /// and opens the own stream for appending. False + *error on I/O
   /// failure.
   bool Open(const Options& options, std::string* error);
-  bool is_open() const { return fd_ >= 0; }
+  bool is_open() const { return wal_.is_open(); }
   /// Final checkpoint + close. Idempotent.
   void Close();
 
@@ -182,8 +183,8 @@ class StreamCoordinator {
   std::vector<std::string> StaleJobs() const;
 
   /// Time-gated sibling-stream absorption for idle servers (the event
-  /// loop calls this every beat; most calls are no-ops). Returns jobs
-  /// newly invalidated by absorbed ops.
+  /// loop calls this every beat; at most one pass per 200 ms does any
+  /// work). Returns jobs newly invalidated by absorbed ops.
   std::vector<Invalidation> MaybeAbsorbPeers();
   /// Unconditional absorption pass.
   std::vector<Invalidation> AbsorbPeers();
@@ -250,9 +251,12 @@ class StreamCoordinator {
 
   Overlay* GetOverlayLocked(const std::string& dataset,
                             const std::string& data_dir, std::string* error);
-  /// Appends one serialized op line to the own WAL and fsyncs — the
-  /// ack durability boundary. False on I/O failure.
-  bool AppendOpLocked(const StreamOp& op, std::string* error);
+  /// Appends `op` to the own WAL and fsyncs — the ack durability
+  /// boundary — then applies it. False (op neither durable nor
+  /// applied) on I/O failure.
+  bool CommitLocked(const StreamOp& op, Ack* ack,
+                    std::vector<Invalidation>* invalidated,
+                    std::string* error);
   /// Applies an op to the overlays/deps registry (last-writer-wins),
   /// collecting invalidations. Returns false only when the op's
   /// dataset cannot be loaded (the op is then counted and skipped).
@@ -262,32 +266,31 @@ class StreamCoordinator {
   void MarkWatchersStaleLocked(const StreamOp& op,
                                std::vector<Invalidation>* invalidated);
   std::vector<Invalidation> AbsorbPeersLocked();
-  /// Reads complete, CRC-valid op lines of `path` starting at
-  /// *offset, applying each; advances *offset past consumed bytes.
-  void AbsorbFileLocked(const std::string& path, size_t* offset,
-                        std::vector<Invalidation>* invalidated);
+  /// Parses and applies one WAL payload read from a stream (own replay
+  /// or a sibling); false when it does not parse.
+  bool ApplyPayloadLocked(std::string_view payload,
+                          std::vector<Invalidation>* invalidated);
   void MaybeCheckpointLocked();
   bool WriteCheckpointLocked();
-  bool LoadCheckpointLocked(std::string* error);
-  /// Truncates the own WAL to its longest valid prefix; returns false
-  /// on I/O failure.
-  bool RecoverOwnWalLocked(std::string* error);
+  /// Loads a valid checkpoint into the derived state; *own_offset gets
+  /// the own stream's absorbed offset.
+  bool LoadCheckpointLocked(size_t* own_offset);
   static std::string SerializeOp(const StreamOp& op);
   static bool ParseOp(std::string_view json, StreamOp* op);
   int64_t NowMs() const;
 
   Options options_;
   mutable std::mutex mutex_;
-  int fd_ = -1;
+  persist::RecordLog wal_;
   uint64_t clock_ = 0;
   std::map<std::string, Overlay> overlays_;  // by DatasetKey
   std::unordered_map<std::string, Version> mods_;  // by RecordKey
   std::map<std::string, JobDeps> deps_;  // by job id
   std::unordered_map<std::string, std::set<std::string>> watchers_;
   std::set<std::string> stale_;
-  /// Per stream-file absorbed byte offsets (own file included: the
-  /// prefix already reflected by checkpoint + replay).
-  std::map<std::string, size_t> offsets_;
+  /// Sibling stream files by name. The own stream's absorbed offset is
+  /// wal_.size(): every durable own op is applied.
+  std::map<std::string, persist::PeerTail> peers_;
   Stats stats_;
   int ops_since_checkpoint_ = 0;
   int64_t last_absorb_ms_ = 0;

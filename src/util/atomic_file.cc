@@ -22,31 +22,27 @@ std::string DirOf(const std::string& path) {
   return path.substr(0, slash);
 }
 
-bool WriteAllAndSync(int fd, const std::string& content) {
+}  // namespace
+
+bool WriteFully(int fd, std::string_view data) {
   size_t written = 0;
-  while (written < content.size()) {
-    ssize_t n =
-        ::write(fd, content.data() + written, content.size() - written);
+  while (written < data.size()) {
+    ssize_t n = ::write(fd, data.data() + written, data.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     written += static_cast<size_t>(n);
   }
-  return ::fsync(fd) == 0;
+  return true;
 }
 
-/// fsync on the containing directory makes the rename itself durable;
-/// a failure here is ignored (some filesystems refuse O_RDONLY dir
-/// fsync) — the data file is already safe on disk.
 void SyncDirectory(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return;
   ::fsync(fd);
   ::close(fd);
 }
-
-}  // namespace
 
 bool AtomicWriteFile(const std::string& path, const std::string& content) {
   if (path.empty()) return false;
@@ -57,7 +53,7 @@ bool AtomicWriteFile(const std::string& path, const std::string& content) {
       path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  bool ok = WriteAllAndSync(fd, content);
+  bool ok = WriteFully(fd, content) && ::fsync(fd) == 0;
   ok = (::close(fd) == 0) && ok;
   if (!ok) {
     ::unlink(tmp.c_str());

@@ -2,6 +2,7 @@
 #define CERTA_UTIL_ATOMIC_FILE_H_
 
 #include <string>
+#include <string_view>
 
 namespace certa::util {
 
@@ -17,6 +18,16 @@ namespace certa::util {
 /// Returns false (and cleans up the temp file) on any I/O error, in
 /// which case `path` is untouched.
 bool AtomicWriteFile(const std::string& path, const std::string& content);
+
+/// Writes all of `data` to `fd`, retrying short writes and EINTR.
+/// False (errno set) on the first failing write; a prefix of `data`
+/// may then be in the file.
+bool WriteFully(int fd, std::string_view data);
+
+/// fsyncs directory `dir`, so a file created or renamed in it survives
+/// power loss. Failure is ignored (some filesystems refuse directory
+/// fsync); the file data itself is already synced by then.
+void SyncDirectory(const std::string& dir);
 
 /// Reads the whole file into *content; false when it cannot be opened
 /// or read. Binary-exact (no newline translation).

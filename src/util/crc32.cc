@@ -1,6 +1,7 @@
 #include "util/crc32.h"
 
 #include <array>
+#include <cstdio>
 
 namespace certa::util {
 namespace {
@@ -42,6 +43,30 @@ uint32_t Crc32(const void* data, size_t size) {
 
 uint32_t Crc32(const std::string& data) {
   return Crc32Update(0, data.data(), data.size());
+}
+
+std::string Crc32Hex(uint32_t crc) {
+  char buffer[9];
+  std::snprintf(buffer, sizeof(buffer), "%08x", crc);
+  return std::string(buffer, 8);
+}
+
+bool ParseCrc32Hex(std::string_view text, uint32_t* crc) {
+  if (text.size() != 8) return false;
+  uint32_t value = 0;
+  for (char c : text) {
+    int digit;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else {
+      return false;
+    }
+    value = (value << 4) | static_cast<uint32_t>(digit);
+  }
+  *crc = value;
+  return true;
 }
 
 }  // namespace certa::util

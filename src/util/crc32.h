@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace certa::util {
 
@@ -23,6 +24,13 @@ uint32_t Crc32(const std::string& data);
 /// Incremental form: feed `crc` from a previous call (or 0 to start)
 /// to checksum discontiguous buffers as one stream.
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
+
+/// The CRC as 8 lowercase hex digits — the text framing of the stream
+/// WAL and the stream checkpoint.
+std::string Crc32Hex(uint32_t crc);
+
+/// Parses exactly 8 lowercase hex digits; false on anything else.
+bool ParseCrc32Hex(std::string_view text, uint32_t* crc);
 
 }  // namespace certa::util
 

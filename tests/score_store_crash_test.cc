@@ -65,20 +65,18 @@ long long TotalSegmentBytes(const fs::path& dir) {
   return total;
 }
 
-/// Forked writer: appends entries 0..n-1 with sync_every=1 (each Put
-/// durable on return) until killed. _exit, never exit — no destructors
-/// or exit handlers run, like a real power cut.
+/// Forked writer: appends entries 0..n-1, syncing after each Put (each
+/// entry durable once its Sync returns), until killed. _exit, never
+/// exit — no destructors or exit handlers run, like a real power cut.
 pid_t SpawnWriter(const fs::path& dir, uint64_t n) {
   const pid_t pid = fork();
   if (pid == 0) {
     ScoreStore store;
-    ScoreStore::Options options;
-    options.sync_every = 1;
-    if (!store.Open(dir.string(), options)) _exit(1);
+    if (!store.Open(dir.string())) _exit(1);
     for (uint64_t i = 0; i < n; ++i) {
       store.Put(kScope, Key(i), ScoreOf(i));
+      store.Sync();
     }
-    store.Sync();
     _exit(0);
   }
   return pid;
@@ -135,9 +133,9 @@ TEST(ScoreStoreCrashTest, SigkillDuringAppendsNeverCorrupts) {
     ScoreStore::Stats stats;
     const uint64_t intact = VerifyZeroCorruption(dir, kN, &stats);
     if (killed) {
-      // sync_every=1: every record whose Put returned is durable, so
-      // at least the records below the kill threshold must be intact
-      // (minus at most one record torn mid-write).
+      // Sync after each Put: every record whose Sync returned is
+      // durable, so at least the records below the kill threshold must
+      // be intact (minus at most one record torn mid-write).
       const uint64_t durable_floor =
           static_cast<uint64_t>((threshold - kHeaderSize) / kRecordSize);
       EXPECT_GE(intact + 1, durable_floor) << "round " << round;
@@ -162,21 +160,20 @@ TEST(ScoreStoreCrashTest, SigkillDuringAppendsNeverCorrupts) {
 }
 
 /// Forked shared-stream writer: appends entries [begin, end) to its own
-/// stream slot inside one shared directory, sync_every=1.
+/// stream slot inside one shared directory, syncing after each Put.
 pid_t SpawnStreamWriter(const fs::path& dir, int slot, uint64_t begin,
                         uint64_t end) {
   const pid_t pid = fork();
   if (pid == 0) {
     ScoreStore store;
     ScoreStore::Options options;
-    options.sync_every = 1;
     options.stream_slot = slot;
     options.exclusive_lock = true;
     if (!store.Open(dir.string(), options)) _exit(1);
     for (uint64_t i = begin; i < end; ++i) {
       store.Put(kScope, Key(i), ScoreOf(i));
+      store.Sync();
     }
-    store.Sync();
     _exit(0);
   }
   return pid;
@@ -230,9 +227,9 @@ TEST(ScoreStoreCrashTest, SigkillSharedStreamsNeverCorruptSiblings) {
           << "corrupted entry " << i << " round " << round;
       ++intact;
     }
-    // sync_every=1 both sides: everything below the kill threshold is
-    // durable minus at most one torn record per stream — and the reader
-    // never truncates the dead siblings' files.
+    // Sync after each Put on both sides: everything below the kill
+    // threshold is durable minus at most one torn record per stream —
+    // and the reader never truncates the dead siblings' files.
     const uint64_t durable_floor =
         static_cast<uint64_t>((threshold - 2 * kHeaderSize) / kRecordSize);
     EXPECT_GE(intact + 2, durable_floor) << "round " << round;

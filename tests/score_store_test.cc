@@ -1,7 +1,7 @@
 // Unit + corruption-fuzz tests for persist::ScoreStore: roundtrip and
 // reopen, scope separation, torn/bit-flipped/truncated segments (the
 // longest-valid-prefix recovery rule), bad headers, segment roll and
-// compaction, mmap/read parity, concurrent access, and shared-stream
+// compaction, concurrent access, and shared-stream
 // mode (per-stream locks, peer absorption, lease'd compaction). The
 // crash battery proper (SIGKILL subprocesses) lives in
 // score_store_crash_test.cc.
@@ -321,46 +321,6 @@ TEST(ScoreStoreTest, LeftoverTempFilesAreSweptOnOpen) {
   fs::remove_all(dir);
 }
 
-TEST(ScoreStoreTest, MmapAndPlainReadLoadsAgree) {
-  const fs::path dir = Scratch("mmap");
-  constexpr uint64_t kN = 200;
-  {
-    ScoreStore store;
-    ASSERT_TRUE(store.Open(dir.string()));
-    Fill(&store, 21, kN);
-    store.Close();
-  }
-  for (const bool use_mmap : {true, false}) {
-    ScoreStore::Options options;
-    options.use_mmap = use_mmap;
-    ScoreStore store;
-    ASSERT_TRUE(store.Open(dir.string(), options));
-    EXPECT_EQ(CountIntact(&store, 21, kN), kN) << "mmap=" << use_mmap;
-    EXPECT_EQ(store.stats().replayed_records, static_cast<long long>(kN));
-  }
-  fs::remove_all(dir);
-}
-
-TEST(ScoreStoreTest, SyncEverySelfSyncs) {
-  const fs::path dir = Scratch("synccadence");
-  ScoreStore::Options options;
-  options.sync_every = 1;
-  constexpr uint64_t kN = 32;
-  {
-    ScoreStore store;
-    ASSERT_TRUE(store.Open(dir.string(), options));
-    for (uint64_t i = 0; i < kN; ++i) {
-      ASSERT_TRUE(store.Put(8, Key(i), ScoreOf(i)));
-    }
-    // No explicit Sync: every Put self-synced, so the bytes are on
-    // disk regardless of how this handle goes away.
-  }
-  ScoreStore store;
-  ASSERT_TRUE(store.Open(dir.string()));
-  EXPECT_EQ(CountIntact(&store, 8, kN), kN);
-  fs::remove_all(dir);
-}
-
 TEST(ScoreStoreTest, BindMetricsMirrorsCounters) {
   const fs::path dir = Scratch("metrics");
   obs::MetricsRegistry registry;
@@ -501,44 +461,6 @@ TEST(ScoreStoreTest, FailedExclusiveOpenHoldsNoLock) {
   EXPECT_TRUE(probe.Acquire(dir.string(), &error))
       << "failed Open leaked a lock: " << error;
   probe.Release();
-  fs::remove_all(dir);
-}
-
-// -- satellite: sync_every cadence across Compact --
-
-TEST(ScoreStoreTest, CompactRestartsSyncEveryCadence) {
-  const fs::path dir = Scratch("cadence");
-  obs::MetricsRegistry registry;
-  ScoreStore::Options options;
-  options.sync_every = 4;
-  ScoreStore store;
-  ASSERT_TRUE(store.Open(dir.string(), options));
-  store.BindMetrics(&registry);
-  obs::Counter* syncs = registry.counter("store.syncs");
-
-  // Three appends: under the cadence, so no self-sync yet.
-  for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(store.Put(1, Key(i), ScoreOf(i)));
-  }
-  EXPECT_EQ(syncs->value(), 0);
-
-  // Compact flushes everything (its own sync) and must reset the
-  // countdown: the pre-compact backlog of 3 is gone, so the next 3
-  // appends are again under the cadence — a carried-over count would
-  // force a premature fsync on the very first post-compact append.
-  ASSERT_TRUE(store.Compact());
-  const long long after_compact = syncs->value();
-  EXPECT_GE(after_compact, 1);
-  for (uint64_t i = 3; i < 6; ++i) {
-    ASSERT_TRUE(store.Put(1, Key(i), ScoreOf(i)));
-  }
-  EXPECT_EQ(syncs->value(), after_compact)
-      << "an append under the cadence fsynced right after a compact: "
-         "unsynced_appends_ leaked through Compact()";
-  // The fourth post-compact append completes the cadence: exactly one
-  // self-sync.
-  ASSERT_TRUE(store.Put(1, Key(6), ScoreOf(6)));
-  EXPECT_EQ(syncs->value(), after_compact + 1);
   fs::remove_all(dir);
 }
 

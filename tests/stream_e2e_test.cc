@@ -8,7 +8,8 @@
 //   - SIGKILL mid-stream loses zero acked upserts — the WAL fsync
 //     happens before the ack frame leaves the server;
 //   - a worker fleet shares one stream directory: an upsert acked by
-//     any worker is immediately matchable through every worker.
+//     any worker is immediately matchable through every worker, and
+//     each worker counts the ops it applied in its own metrics.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -376,6 +377,50 @@ TEST(StreamE2eTest, FleetSharesOneStreamDirectory) {
         << "upsert " << i << " not visible fleet-wide: " << output;
   }
   EXPECT_EQ(StopServer(server, SIGTERM), 0) << ReadAll(log);
+}
+
+TEST(StreamE2eTest, FleetWorkersCountAppliedOpsInTheirMetrics) {
+  const data::Dataset base = data::MakeBenchmark("AB");
+  const int attributes = base.left.schema().size();
+  const fs::path root = Scratch("fleet_metrics");
+  const fs::path log = root / "server.log";
+  pid_t server = SpawnServer(
+      {"--listen", "0", "--job-root", (root / "jobs").string(),
+       "--stream-dir", (root / "stream").string(), "--workers", "2",
+       "--stats-every", "1"},
+      log);
+  ASSERT_GT(server, 0);
+  const int port = WaitForPort(log);
+  ASSERT_GT(port, 0) << ReadAll(log);
+
+  constexpr int kUpserts = 8;
+  std::string output;
+  for (int i = 0; i < kUpserts; ++i) {
+    ASSERT_EQ(RunShell(ClientCmd(
+                           port, "upsert --dataset AB --side left --record " +
+                                     std::to_string(930000 + i) + " " +
+                                     ValuesFlag(attributes, "metrictok")),
+                       &output),
+              0)
+        << output;
+    ASSERT_NE(output.find("\"type\":\"upserted\""), std::string::npos)
+        << output;
+  }
+  // The drain makes each worker write its final metrics snapshot.
+  EXPECT_EQ(StopServer(server, SIGTERM), 0) << ReadAll(log);
+
+  // Every acked upsert was applied by exactly one worker; absorbing a
+  // sibling's op counts as stream.ops_absorbed, not as applied.
+  long long applied = 0;
+  for (const char* worker : {"w0", "w1"}) {
+    const fs::path path = root / "jobs" / worker / "metrics.json";
+    JsonValue metrics;
+    std::string error;
+    ASSERT_TRUE(JsonValue::Parse(ReadAll(path), &metrics, &error))
+        << path << ": " << error;
+    applied += CounterOf(metrics, "stream.ops_applied");
+  }
+  EXPECT_EQ(applied, kUpserts);
 }
 
 }  // namespace

@@ -818,6 +818,7 @@ int ServeFleet(const Args& args,
       certa::service::StreamCoordinator::Options stream_options;
       stream_options.dir = launch.stream_dir;
       stream_options.slot = launch.slot;
+      stream_options.metrics = worker_runner.metrics;
       std::string stream_error;
       if (!coordinator.Open(stream_options, &stream_error)) {
         std::cerr << "worker " << launch.slot << ": cannot open stream dir "
