@@ -3,7 +3,8 @@
 #   1. Release build + complete ctest suite;
 #   2. address+undefined sanitizer build + the suites most likely to
 #      hide memory/UB bugs (resilience fault paths, durability journal
-#      recovery and kill/resume);
+#      recovery and kill/resume, and the perf suite, whose batch
+#      scoring keeps string_views into caller-owned records);
 #   3. thread sanitizer build (CERTA_SANITIZE=thread) + the concurrency
 #      suite (thread pool, sharded metrics, cache shards under pooled
 #      writers);
@@ -80,13 +81,14 @@ cmake -B "${REPO_ROOT}/build-ci-asan" -S "${REPO_ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCERTA_SANITIZE=address+undefined
 cmake --build "${REPO_ROOT}/build-ci-asan" -j "${JOBS}"
 
-echo "== Sanitized resilience + durability + service-net + store suites =="
+echo "== Sanitized resilience + durability + service-net + store + perf suites =="
 ctest --test-dir "${REPO_ROOT}/build-ci-asan" --output-on-failure -L resilience
 ctest --test-dir "${REPO_ROOT}/build-ci-asan" --output-on-failure -L durability
 ctest --test-dir "${REPO_ROOT}/build-ci-asan" --output-on-failure -L service-net
 ctest --test-dir "${REPO_ROOT}/build-ci-asan" --output-on-failure -L store
 ctest --test-dir "${REPO_ROOT}/build-ci-asan" --output-on-failure -L fleet
 ctest --test-dir "${REPO_ROOT}/build-ci-asan" --output-on-failure -L stream
+ctest --test-dir "${REPO_ROOT}/build-ci-asan" --output-on-failure -L perf
 
 echo "== thread sanitizer build =="
 cmake -B "${REPO_ROOT}/build-ci-tsan" -S "${REPO_ROOT}" \

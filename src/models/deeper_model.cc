@@ -1,8 +1,9 @@
 #include "models/deeper_model.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <type_traits>
 
+#include "models/batch_values.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 
@@ -38,42 +39,103 @@ std::vector<uint64_t> RecordNgramHashes(const data::Record& record,
   return hashes;
 }
 
-/// Everything Features needs from one record, computed once per record
-/// instead of once per pair.
+/// Everything Features needs from one record. `Token` is the token
+/// string on the per-pair path and a batch token id on the batch path;
+/// `unique` is the record's sorted unique tokens in that form.
+template <typename Token>
 struct RecordRep {
-  std::vector<std::string> tokens;
-  std::vector<std::string> unique_tokens;
+  size_t token_count = 0;
+  std::vector<Token> unique;
   ml::Vector word_embed;
   ml::Vector gram_embed;
 };
 
-RecordRep MakeRep(const data::Record& record,
-                  const text::HashingVectorizer& word_embedder,
-                  const text::HashingVectorizer& ngram_embedder) {
-  RecordRep rep;
-  rep.tokens = RecordTokens(record);
-  rep.unique_tokens = text::UniqueTokens(rep.tokens);
-  rep.word_embed = word_embedder.TransformNormalized(rep.tokens);
+RecordRep<std::string> MakeRep(const data::Record& record,
+                               const text::HashingVectorizer& word_embedder,
+                               const text::HashingVectorizer& ngram_embedder) {
+  std::vector<std::string> tokens = RecordTokens(record);
+  RecordRep<std::string> rep;
+  rep.token_count = tokens.size();
+  rep.unique = text::UniqueTokens(tokens);
+  rep.word_embed = word_embedder.TransformNormalized(tokens);
   rep.gram_embed = ngram_embedder.TransformHashedNormalized(
       RecordNgramHashes(record, ngram_embedder.seed()));
   return rep;
 }
 
-ml::Vector PairFeatures(const RecordRep& u, const RecordRep& v) {
-  double size_u = static_cast<double>(u.tokens.size());
-  double size_v = static_cast<double>(v.tokens.size());
+template <typename Token>
+ml::Vector PairFeatures(const RecordRep<Token>& u, const RecordRep<Token>& v) {
+  double size_u = static_cast<double>(u.token_count);
+  double size_v = static_cast<double>(v.token_count);
   double length_ratio =
       size_u > 0.0 && size_v > 0.0
           ? std::min(size_u, size_v) / std::max(size_u, size_v)
           : 0.0;
-
+  double jaccard = 0.0;
+  double overlap = 0.0;
+  if constexpr (std::is_same_v<Token, std::string>) {
+    jaccard = text::JaccardOfUnique(u.unique, v.unique);
+    overlap = text::OverlapOfUnique(u.unique, v.unique);
+  } else {
+    jaccard = JaccardOfIds(u.unique, v.unique);
+    overlap = OverlapOfIds(u.unique, v.unique);
+  }
   return {
       text::CosineSimilarity(u.word_embed, v.word_embed),
       text::CosineSimilarity(u.gram_embed, v.gram_embed),
-      text::JaccardOfUnique(u.unique_tokens, v.unique_tokens),
-      text::OverlapOfUnique(u.unique_tokens, v.unique_tokens),
+      jaccard,
+      overlap,
       length_ratio,
   };
+}
+
+/// One distinct value's share of a record rep: its token count, its
+/// unique tokens as batch ids, and its unnormalized +/-1 bucket counts
+/// in both embedding spaces (summed per record by AddCounts).
+struct ValueRep {
+  bool missing = false;
+  size_t token_count = 0;
+  std::vector<uint64_t> unique_ids;
+  ml::Vector word_counts;
+  ml::Vector gram_counts;
+};
+
+ValueRep MakeValueRep(std::string_view value, TokenIds* token_ids,
+                      const text::HashingVectorizer& word_embedder,
+                      const text::HashingVectorizer& ngram_embedder) {
+  ValueRep rep;
+  rep.missing = text::IsMissing(value);
+  if (rep.missing) return rep;
+  std::vector<std::string> tokens = text::Tokenize(value);
+  rep.token_count = tokens.size();
+  rep.word_counts = word_embedder.Transform(tokens);
+  for (std::string& token : tokens) {
+    rep.unique_ids.push_back(token_ids->Intern(std::move(token)));
+  }
+  SortUnique(&rep.unique_ids);
+  rep.gram_counts = ngram_embedder.TransformHashed(
+      text::CharNgramHashes(value, 3, ngram_embedder.seed()));
+  return rep;
+}
+
+RecordRep<uint64_t> RecordFromValues(std::span<const uint32_t> ids,
+                                     const std::vector<ValueRep>& values) {
+  RecordRep<uint64_t> rep;
+  rep.word_embed.assign(kWordDim, 0.0);
+  rep.gram_embed.assign(kNgramDim, 0.0);
+  for (uint32_t id : ids) {
+    const ValueRep& value = values[id];
+    if (value.missing) continue;
+    rep.token_count += value.token_count;
+    rep.unique.insert(rep.unique.end(), value.unique_ids.begin(),
+                      value.unique_ids.end());
+    AddCounts(value.word_counts, &rep.word_embed);
+    AddCounts(value.gram_counts, &rep.gram_embed);
+  }
+  SortUnique(&rep.unique);
+  text::L2Normalize(&rep.word_embed);
+  text::L2Normalize(&rep.gram_embed);
+  return rep;
 }
 
 }  // namespace
@@ -91,20 +153,23 @@ ml::Vector DeepErModel::Features(const data::Record& u,
 
 std::vector<ml::Vector> DeepErModel::FeaturesBatch(
     std::span<const RecordPair> pairs) const {
-  std::vector<RecordRep> reps;
-  std::unordered_map<const data::Record*, size_t> rep_index;
-  auto rep_of = [&](const data::Record* record) {
-    auto [it, inserted] = rep_index.try_emplace(record, reps.size());
-    if (inserted) reps.push_back(MakeRep(*record, word_embedder_,
-                                         ngram_embedder_));
-    return it->second;
-  };
+  BatchValues values(pairs);
+  TokenIds token_ids;
+  std::vector<ValueRep> value_reps;
+  value_reps.reserve(values.size());
+  for (uint32_t id = 0; id < values.size(); ++id) {
+    value_reps.push_back(MakeValueRep(values.value(id), &token_ids,
+                                      word_embedder_, ngram_embedder_));
+  }
+  std::vector<RecordRep<uint64_t>> reps;
+  reps.reserve(values.records());
+  for (size_t r = 0; r < values.records(); ++r) {
+    reps.push_back(RecordFromValues(values.ids(r), value_reps));
+  }
   std::vector<ml::Vector> rows;
   rows.reserve(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    size_t left = rep_of(pair.left);
-    size_t right = rep_of(pair.right);
-    rows.push_back(PairFeatures(reps[left], reps[right]));
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    rows.push_back(PairFeatures(reps[values.left(i)], reps[values.right(i)]));
   }
   return rows;
 }

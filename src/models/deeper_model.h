@@ -28,9 +28,11 @@ class DeepErModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Shares the per-record work (tokenization + both embeddings) across
-  /// pairs repeating a record, keyed by record identity. Bit-identical
-  /// to per-pair Features.
+  /// Tokenizes and embeds each distinct value of the batch once
+  /// (BatchValues), then builds each distinct record's rep by summing
+  /// its values' +/-1 bucket counts before the L2 normalization and
+  /// uniting their token-id sets. The counts are integers, so the sums
+  /// are exact: bit-identical to per-pair Features.
   std::vector<ml::Vector> FeaturesBatch(
       std::span<const RecordPair> pairs) const override;
 

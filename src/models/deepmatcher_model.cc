@@ -1,8 +1,9 @@
 #include "models/deepmatcher_model.h"
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 
+#include "models/batch_values.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 #include "util/logging.h"
@@ -10,73 +11,58 @@
 namespace certa::models {
 namespace {
 
-/// Per-attribute preprocessing shared by every pair the attribute value
-/// participates in: missing flag, token list, normalized string, the
-/// numeric parse AttributeSimilarity would redo, and the sorted trigram
-/// shingle set (the dominant per-comparison cost).
-struct AttributeRep {
-  const std::string* value = nullptr;
+/// Per-value preprocessing shared by every attribute pair the value
+/// participates in: missing flag, token list and its unique set,
+/// normalized string, the numeric parse AttributeSimilarity would redo,
+/// and the sorted trigram shingle set (the dominant per-comparison
+/// cost).
+struct ValueRep {
   bool missing = false;
   bool is_numeric = false;
   double numeric = 0.0;
   std::vector<std::string> tokens;
+  std::vector<std::string> unique_tokens;
   std::string normalized;
   std::vector<uint64_t> shingles;
 };
 
-std::vector<AttributeRep> MakeRep(const data::Record& record) {
-  std::vector<AttributeRep> attrs(record.values.size());
-  for (size_t a = 0; a < record.values.size(); ++a) {
-    AttributeRep& rep = attrs[a];
-    rep.value = &record.values[a];
-    rep.missing = text::IsMissing(record.values[a]);
-    if (rep.missing) continue;
-    rep.is_numeric = text::TryParseNumeric(record.values[a], &rep.numeric);
-    rep.tokens = text::Tokenize(record.values[a]);
-    rep.shingles = text::TrigramShingles(record.values[a]);
-    rep.normalized = text::Normalize(record.values[a]);
-  }
-  return attrs;
+ValueRep MakeValueRep(std::string_view value) {
+  ValueRep rep;
+  rep.missing = text::IsMissing(value);
+  if (rep.missing) return rep;
+  rep.is_numeric = text::TryParseNumeric(value, &rep.numeric);
+  rep.tokens = text::Tokenize(value);
+  rep.unique_tokens = text::UniqueTokens(rep.tokens);
+  rep.shingles = text::TrigramShingles(value);
+  rep.normalized = text::Normalize(value);
+  return rep;
 }
 
-/// AttributeSimilarity over precomputed reps (both values non-missing):
-/// same numeric fast path, then the Jaccard/trigram blend over the
-/// already-tokenized-and-shingled values.
-double RepAttributeSimilarity(const AttributeRep& u, const AttributeRep& v) {
-  if (u.is_numeric && v.is_numeric) {
-    return text::NumericSimilarity(u.numeric, v.numeric);
-  }
-  return 0.5 * text::JaccardSimilarity(u.tokens, v.tokens) +
-         0.5 * text::TrigramSimilarityOfShingles(u.shingles, v.shingles);
-}
+using Block = std::array<double, DeepMatcherModel::kFeaturesPerAttribute>;
 
-ml::Vector PairFeatures(const std::vector<AttributeRep>& u,
-                        const std::vector<AttributeRep>& v) {
-  CERTA_CHECK_EQ(u.size(), v.size())
-      << "DeepMatcher requires aligned schemas";
-  ml::Vector features;
-  features.reserve(u.size() * DeepMatcherModel::kFeaturesPerAttribute);
-  for (size_t a = 0; a < u.size(); ++a) {
-    const AttributeRep& rep_u = u[a];
-    const AttributeRep& rep_v = v[a];
-    if (rep_u.missing || rep_v.missing) {
-      // Neutral similarity block with missing indicators: the MLP learns
-      // how much absence matters per attribute.
-      features.insert(features.end(),
-                      {0.0, 0.0, 0.0, 0.0,
-                       rep_u.missing && rep_v.missing ? 1.0 : 0.0,
-                       rep_u.missing != rep_v.missing ? 1.0 : 0.0});
-      continue;
-    }
-    features.push_back(text::JaccardSimilarity(rep_u.tokens, rep_v.tokens));
-    features.push_back(
-        text::LevenshteinSimilarity(rep_u.normalized, rep_v.normalized));
-    features.push_back(text::SymmetricMongeElkan(rep_u.tokens, rep_v.tokens));
-    features.push_back(RepAttributeSimilarity(rep_u, rep_v));
-    features.push_back(0.0);  // missing_both
-    features.push_back(0.0);  // missing_one
+/// The feature block of one aligned attribute pair. The fourth entry is
+/// AttributeSimilarity over the reps: the same numeric fast path, then
+/// the Jaccard/trigram blend.
+Block AttributeBlock(const ValueRep& u, const ValueRep& v) {
+  if (u.missing || v.missing) {
+    // Neutral similarity block with missing indicators: the MLP learns
+    // how much absence matters per attribute.
+    return {0.0, 0.0, 0.0, 0.0, u.missing && v.missing ? 1.0 : 0.0,
+            u.missing != v.missing ? 1.0 : 0.0};
   }
-  return features;
+  double jaccard = text::JaccardOfUnique(u.unique_tokens, v.unique_tokens);
+  double similarity =
+      u.is_numeric && v.is_numeric
+          ? text::NumericSimilarity(u.numeric, v.numeric)
+          : 0.5 * jaccard +
+                0.5 * text::TrigramSimilarityOfShingles(u.shingles,
+                                                        v.shingles);
+  return {jaccard,
+          text::LevenshteinSimilarity(u.normalized, v.normalized),
+          text::SymmetricMongeElkan(u.tokens, v.tokens),
+          similarity,
+          0.0,   // missing_both
+          0.0};  // missing_one
 }
 
 }  // namespace
@@ -85,26 +71,22 @@ DeepMatcherModel::DeepMatcherModel() : FeatureMatcher(Head::kMlp) {}
 
 ml::Vector DeepMatcherModel::Features(const data::Record& u,
                                       const data::Record& v) const {
-  return PairFeatures(MakeRep(u), MakeRep(v));
+  CERTA_CHECK_EQ(u.values.size(), v.values.size())
+      << "DeepMatcher requires aligned schemas";
+  ml::Vector features;
+  features.reserve(u.values.size() * kFeaturesPerAttribute);
+  for (size_t a = 0; a < u.values.size(); ++a) {
+    Block block = AttributeBlock(MakeValueRep(u.values[a]),
+                                 MakeValueRep(v.values[a]));
+    features.insert(features.end(), block.begin(), block.end());
+  }
+  return features;
 }
 
 std::vector<ml::Vector> DeepMatcherModel::FeaturesBatch(
     std::span<const RecordPair> pairs) const {
-  std::vector<std::vector<AttributeRep>> reps;
-  std::unordered_map<const data::Record*, size_t> rep_index;
-  auto rep_of = [&](const data::Record* record) {
-    auto [it, inserted] = rep_index.try_emplace(record, reps.size());
-    if (inserted) reps.push_back(MakeRep(*record));
-    return it->second;
-  };
-  std::vector<ml::Vector> rows;
-  rows.reserve(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    size_t left = rep_of(pair.left);
-    size_t right = rep_of(pair.right);
-    rows.push_back(PairFeatures(reps[left], reps[right]));
-  }
-  return rows;
+  return AlignedFeaturesBatch(pairs, MakeValueRep, AttributeBlock,
+                              "DeepMatcher");
 }
 
 }  // namespace certa::models

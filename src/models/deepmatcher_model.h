@@ -30,8 +30,10 @@ class DeepMatcherModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Shares per-attribute preprocessing (tokenization, normalization,
-  /// numeric parsing) across pairs repeating a record. Bit-identical to
+  /// Preprocesses each distinct value of the batch once (BatchValues:
+  /// tokens, unique-token set, normalized string, numeric parse,
+  /// trigram shingles), and computes each attribute's feature block
+  /// once per distinct (left value, right value). Bit-identical to
   /// per-pair Features.
   std::vector<ml::Vector> FeaturesBatch(
       std::span<const RecordPair> pairs) const override;

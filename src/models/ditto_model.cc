@@ -4,7 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "text/simd.h"
+#include "models/batch_values.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 
@@ -136,153 +136,151 @@ ml::Vector PairFeatures(const RecordRep& u, const RecordRep& v) {
 // --- batch-local memoization -------------------------------------------
 //
 // SoftAlignment is the model's cost center: O(|u|·|v|) Jaro-Winkler
-// calls per pair. Within one ScoreBatch the same records (and the same
-// tokens) recur constantly — a lattice level perturbs one record's
-// attributes, every pair shares the pivot side — so FeaturesBatch
-// interns the batch's tokens once and memoizes every distinct
-// Jaro-Winkler evaluation. Identical token strings get identical ids,
-// and the memo stores the exact double JaroWinklerSimilarity returned,
-// so the features are bit-identical to the uninterned per-pair path
-// (which Features() keeps using).
+// calls per pair. Within one ScoreBatch the same values (and the same
+// tokens) recur constantly — a lattice cell copies a few support values
+// into the free record, and every pair shares the pivot side — so
+// FeaturesBatch featurizes each distinct value once (BatchValues),
+// interns the batch's tokens, and memoizes every distinct Jaro-Winkler
+// evaluation and every token's best match within a value and over a
+// record (AlignmentMemos). Identical token strings get identical ids,
+// and the memos store the exact doubles the per-pair loops compute, so
+// the features are bit-identical to the uninterned per-pair path (which
+// Features() keeps using).
 
 /// Distinct tokens of one batch: id -> string/marker-flag/parsed-number.
 struct TokenTable {
-  std::unordered_map<std::string, int> index;
-  std::vector<const std::string*> token;  // stable: points at map keys
+  TokenIds ids;
   std::vector<uint8_t> marker;
   std::vector<uint8_t> numeric_ok;
   std::vector<double> numeric_val;
 
-  int Intern(const std::string& s) {
-    auto [it, inserted] = index.try_emplace(s, static_cast<int>(token.size()));
-    if (inserted) {
-      token.push_back(&it->first);
-      marker.push_back(s.size() >= 2 && s[0] == '[' ? 1 : 0);
+  int Intern(std::string s) {
+    const uint32_t id = ids.Intern(std::move(s));
+    if (id == marker.size()) {
+      const std::string& token = ids.token(id);
+      marker.push_back(token.size() >= 2 && token[0] == '[' ? 1 : 0);
       double value = 0.0;
-      uint8_t ok = text::TryParseNumeric(s, &value) ? 1 : 0;
+      uint8_t ok = text::TryParseNumeric(token, &value) ? 1 : 0;
       numeric_ok.push_back(ok);
       numeric_val.push_back(ok ? value : 0.0);
     }
-    return it->second;
+    return static_cast<int>(id);
   }
-  size_t size() const { return token.size(); }
+  size_t size() const { return ids.size(); }
+  const std::string& token(int id) const {
+    return ids.token(static_cast<uint32_t>(id));
+  }
 };
 
-/// Directional (a, b) -> JaroWinklerSimilarity(a, b) memo: a dense
-/// matrix while the batch vocabulary is small, a hash map beyond that.
-class JaroWinklerMemo {
+/// (row, col) -> double memo over batch-local ids: a dense matrix while
+/// rows x cols stays within `dense_limit` entries, a hash map beyond
+/// that. Every memoized quantity lies in [0, 1], so a negative slot
+/// means "not computed yet".
+class Memo {
  public:
-  explicit JaroWinklerMemo(size_t vocab) : vocab_(vocab) {
-    if (vocab_ <= kDenseLimit) dense_.assign(vocab_ * vocab_, -1.0);
+  Memo(size_t rows, size_t cols, size_t dense_limit) : cols_(cols) {
+    if (rows * cols <= dense_limit) dense_.assign(rows * cols, -1.0);
   }
 
-  double Get(const TokenTable& table, int a, int b) {
-    if (!dense_.empty()) {
-      double& slot = dense_[static_cast<size_t>(a) * vocab_ +
-                            static_cast<size_t>(b)];
-      if (slot < 0.0) {
-        slot = text::JaroWinklerSimilarity(*table.token[a], *table.token[b]);
-      }
-      return slot;
-    }
-    uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-                   static_cast<uint32_t>(b);
-    auto [it, inserted] = sparse_.try_emplace(key, 0.0);
-    if (inserted) {
-      it->second =
-          text::JaroWinklerSimilarity(*table.token[a], *table.token[b]);
-    }
-    return it->second;
+  double& Slot(size_t row, size_t col) {
+    if (!dense_.empty()) return dense_[row * cols_ + col];
+    return sparse_.try_emplace((static_cast<uint64_t>(row) << 32) | col, -1.0)
+        .first->second;
   }
 
  private:
-  static constexpr size_t kDenseLimit = 1024;  // 8 MiB of doubles at most
-  size_t vocab_;
+  size_t cols_;
   std::vector<double> dense_;
   std::unordered_map<uint64_t, double> sparse_;
 };
 
-/// (token id, rep index) -> the best Jaro-Winkler of that token against
-/// the rep's non-marker tokens. In the engine's hot batches most pairs
-/// share one side (every lattice cell pairs a perturbation with the
-/// same pivot record), so the inner loop of SoftAlignment re-runs over
-/// the same sequence for every pair; caching its result per (token,
-/// sequence) collapses alignment to one add per token after the first
-/// pair. The cached value is computed by the exact inner loop it
-/// replaces, so features stay bit-identical.
-class BestMatchMemo {
- public:
-  BestMatchMemo(size_t vocab, size_t reps) : vocab_(vocab), reps_(reps) {
-    if (vocab_ * reps_ <= kDenseLimit) dense_.assign(vocab_ * reps_, -1.0);
-  }
-
-  double Get(const TokenTable& table, JaroWinklerMemo* jw, int id_a,
-             size_t rep, const std::vector<int>& rep_ids) {
-    double* slot = nullptr;
-    if (!dense_.empty()) {
-      slot = &dense_[static_cast<size_t>(id_a) * reps_ + rep];
-      if (*slot >= 0.0) return *slot;
-    } else {
-      uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(id_a))
-                      << 32) |
-                     static_cast<uint32_t>(rep);
-      auto [it, inserted] = sparse_.try_emplace(key, -1.0);
-      if (!inserted) return it->second;
-      slot = &it->second;
-    }
-    // The original SoftAlignment inner loop, verbatim.
-    double best = 0.0;
-    for (int id_b : rep_ids) {
-      if (table.marker[id_b]) continue;
-      if (id_a == id_b) {
-        best = 1.0;
-        break;
-      }
-      best = std::max(best, jw->Get(table, id_a, id_b));
-    }
-    *slot = best;
-    return best;
-  }
-
- private:
-  static constexpr size_t kDenseLimit = size_t{1} << 22;  // 32 MiB cap
-  size_t vocab_;
-  size_t reps_;
-  std::vector<double> dense_;
-  std::unordered_map<uint64_t, double> sparse_;
+/// One distinct value's share of a record rep: its Ditto-normalized
+/// tokens as batch ids, and its unnormalized +/-1 4-gram bucket counts
+/// (summed per record by AddCounts).
+struct ValueRep {
+  bool missing = false;
+  std::vector<int> ids;
+  ml::Vector gram_counts;
 };
 
-/// SoftAlignment over interned sequences: same per-token best-match
-/// semantics (exact id match short-circuits to 1.0), with the inner
-/// loop served from the per-(token, rep) memo.
-double SoftAlignmentInterned(const std::vector<int>& a, size_t rep_b,
-                             const std::vector<int>& b,
-                             const TokenTable& table, JaroWinklerMemo* jw,
-                             BestMatchMemo* best_memo) {
-  if (a.empty() || b.empty()) return 0.0;
+/// A record rebuilt from value reps: its serialized sequence as ids,
+/// the ids of its non-missing values, its sorted unique ids and its
+/// normalized 4-gram embedding.
+struct BatchRecord {
+  std::vector<int> seq;
+  std::vector<uint32_t> values;
+  std::vector<uint64_t> unique_ids;
+  ml::Vector gram_embed;
+};
+
+/// The batch's three memos: every directional (token, token)
+/// Jaro-Winkler; each token's best match within one value; and each
+/// token's best match over one record.
+///
+/// A token's best match over a record is the max of its best matches
+/// over the record's values: the per-pair inner loop takes the max over
+/// the record's non-marker tokens, which the values partition, and max
+/// is exact in any order. Perturbed records share most values, so the
+/// per-value memo serves them; every pair shares the pivot record, so
+/// the per-record memo serves it. Each memoized value is computed by
+/// the exact loop it replaces, so features stay bit-identical.
+struct AlignmentMemos {
+  AlignmentMemos(size_t vocab, size_t values, size_t records)
+      : jaro_winkler(vocab, vocab, size_t{1} << 20),  // 8 MiB at most
+        best_in_value(vocab, values, size_t{1} << 22),
+        best_in_record(vocab, records, size_t{1} << 22) {}
+
+  Memo jaro_winkler;
+  Memo best_in_value;
+  Memo best_in_record;
+};
+
+double BestInValue(const TokenTable& table, AlignmentMemos* memos, int id_a,
+                   uint32_t value, const std::vector<int>& value_ids) {
+  double& slot = memos->best_in_value.Slot(id_a, value);
+  if (slot >= 0.0) return slot;
+  // The original SoftAlignment inner loop over one value's tokens.
+  double best = 0.0;
+  for (int id_b : value_ids) {
+    if (table.marker[id_b]) continue;
+    if (id_a == id_b) {
+      best = 1.0;
+      break;
+    }
+    double& jw = memos->jaro_winkler.Slot(id_a, id_b);
+    if (jw < 0.0) {
+      jw = text::JaroWinklerSimilarity(table.token(id_a), table.token(id_b));
+    }
+    best = std::max(best, jw);
+  }
+  slot = best;
+  return best;
+}
+
+/// SoftAlignment over interned sequences: the same per-token best
+/// matches, summed over `a`'s non-marker tokens in sequence order.
+double SoftAlignmentInterned(const BatchRecord& a, const BatchRecord& b,
+                             size_t b_index,
+                             const std::vector<ValueRep>& values,
+                             const TokenTable& table, AlignmentMemos* memos) {
+  if (a.seq.empty() || b.seq.empty()) return 0.0;
   double total = 0.0;
   int counted = 0;
-  for (int id_a : a) {
+  for (int id_a : a.seq) {
     if (table.marker[id_a]) continue;
-    total += best_memo->Get(table, jw, id_a, rep_b, b);
+    double& best = memos->best_in_record.Slot(id_a, b_index);
+    if (best < 0.0) {
+      double max = 0.0;
+      for (uint32_t value : b.values) {
+        max = std::max(
+            max, BestInValue(table, memos, id_a, value, values[value].ids));
+      }
+      best = max;
+    }
+    total += best;
     ++counted;
   }
   return counted > 0 ? total / counted : 0.0;
-}
-
-/// JaccardOfUnique over interned sequences: distinct ids correspond
-/// one-to-one with distinct token strings, so the intersection and
-/// union cardinalities — and therefore the coefficient — are identical
-/// to the sorted-unique-string computation in text/similarity.cc.
-double JaccardOfUniqueIds(const std::vector<uint64_t>& a,
-                          const std::vector<uint64_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  size_t intersection =
-      text::simd::SortedIntersectionCount(a.data(), a.size(), b.data(),
-                                          b.size());
-  size_t union_size = a.size() + b.size() - intersection;
-  if (union_size == 0) return 1.0;
-  return static_cast<double>(intersection) / static_cast<double>(union_size);
 }
 
 /// NumericAgreement over interned sequences with the per-token parse
@@ -335,64 +333,70 @@ ml::Vector DittoModel::Features(const data::Record& u,
 
 std::vector<ml::Vector> DittoModel::FeaturesBatch(
     std::span<const RecordPair> pairs) const {
-  // Pass 1: one rep per distinct record (by address), tokens interned
-  // into the batch table as each rep is built.
-  std::vector<RecordRep> reps;
-  std::vector<std::vector<int>> rep_ids;
-  std::vector<std::vector<uint64_t>> rep_unique_ids;
+  // Pass 1: one rep per distinct value, tokens interned into the batch
+  // table as each rep is built; then one record per distinct record
+  // (by address), assembled from its values' reps.
+  BatchValues values(pairs);
   TokenTable table;
-  std::unordered_map<const data::Record*, size_t> rep_index;
-  auto rep_of = [&](const data::Record* record) {
-    auto [it, inserted] = rep_index.try_emplace(record, reps.size());
-    if (inserted) {
-      reps.push_back(MakeRep(*record, ngram_embedder_));
-      std::vector<int> ids;
-      ids.reserve(reps.back().seq.size());
-      for (const std::string& token : reps.back().seq) {
-        ids.push_back(table.Intern(token));
-      }
-      // Sorted unique ids stand in for the sorted unique token strings:
-      // same distinct elements, so the same Jaccard cardinalities.
-      std::vector<uint64_t> unique_ids(ids.begin(), ids.end());
-      std::sort(unique_ids.begin(), unique_ids.end());
-      unique_ids.erase(std::unique(unique_ids.begin(), unique_ids.end()),
-                       unique_ids.end());
-      rep_ids.push_back(std::move(ids));
-      rep_unique_ids.push_back(std::move(unique_ids));
+  std::vector<ValueRep> value_reps(values.size());
+  for (uint32_t id = 0; id < values.size(); ++id) {
+    std::string_view value = values.value(id);
+    ValueRep& rep = value_reps[id];
+    rep.missing = text::IsMissing(value);
+    if (rep.missing) continue;
+    for (const std::string& token : text::Tokenize(value)) {
+      rep.ids.push_back(table.Intern(NormalizeToken(token)));
     }
-    return it->second;
-  };
-  std::vector<std::pair<size_t, size_t>> pair_reps;
-  pair_reps.reserve(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    size_t left = rep_of(pair.left);
-    size_t right = rep_of(pair.right);
-    pair_reps.emplace_back(left, right);
+    rep.gram_counts = ngram_embedder_.TransformHashed(
+        text::CharNgramHashes(value, 4, ngram_embedder_.seed()));
+  }
+  std::vector<int> markers;
+  std::vector<BatchRecord> records(values.records());
+  for (size_t r = 0; r < values.records(); ++r) {
+    std::span<const uint32_t> ids = values.ids(r);
+    BatchRecord& record = records[r];
+    record.gram_embed.assign(kNgramDim, 0.0);
+    for (size_t a = 0; a < ids.size(); ++a) {
+      if (a == markers.size()) {
+        markers.push_back(table.Intern("[COL" + std::to_string(a) + "]"));
+      }
+      record.seq.push_back(markers[a]);
+      const ValueRep& value = value_reps[ids[a]];
+      if (value.missing) continue;
+      record.seq.insert(record.seq.end(), value.ids.begin(), value.ids.end());
+      record.values.push_back(ids[a]);
+      AddCounts(value.gram_counts, &record.gram_embed);
+    }
+    text::L2Normalize(&record.gram_embed);
+    // Sorted unique ids stand in for the sorted unique token strings:
+    // same distinct elements, so the same Jaccard cardinalities.
+    record.unique_ids.assign(record.seq.begin(), record.seq.end());
+    SortUnique(&record.unique_ids);
   }
 
-  // Pass 2: features through the batch-wide Jaro-Winkler memo — every
-  // distinct (token, token) evaluation is paid once per batch instead
-  // of once per pair. Values are bit-identical to PairFeatures.
-  JaroWinklerMemo memo(table.size());
-  BestMatchMemo best_memo(table.size(), reps.size());
+  // Pass 2: features through the batch-wide memos — every distinct
+  // (token, token), (token, value) and (token, record) evaluation is
+  // paid once per batch instead of once per pair. Values are
+  // bit-identical to PairFeatures.
+  AlignmentMemos memos(table.size(), values.size(), records.size());
   std::vector<ml::Vector> rows;
   rows.reserve(pairs.size());
-  for (const auto& [left, right] : pair_reps) {
-    const RecordRep& u = reps[left];
-    const RecordRep& v = reps[right];
-    const std::vector<int>& u_ids = rep_ids[left];
-    const std::vector<int>& v_ids = rep_ids[right];
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const size_t left = values.left(i);
+    const size_t right = values.right(i);
+    const BatchRecord& u = records[left];
+    const BatchRecord& v = records[right];
     double align_uv =
-        SoftAlignmentInterned(u_ids, right, v_ids, table, &memo, &best_memo);
+        SoftAlignmentInterned(u, v, right, value_reps, table, &memos);
     double align_vu =
-        SoftAlignmentInterned(v_ids, left, u_ids, table, &memo, &best_memo);
+        SoftAlignmentInterned(v, u, left, value_reps, table, &memos);
     rows.push_back({
         align_uv,
         align_vu,
         std::min(align_uv, align_vu),
         text::CosineSimilarity(u.gram_embed, v.gram_embed),
-        JaccardOfUniqueIds(rep_unique_ids[left], rep_unique_ids[right]),
-        NumericAgreementInterned(u_ids, v_ids, table),
+        JaccardOfIds(u.unique_ids, v.unique_ids),
+        NumericAgreementInterned(u.seq, v.seq, table),
     });
   }
   return rows;

@@ -32,8 +32,13 @@ class DittoModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Shares serialization + the n-gram embedding across pairs that
-  /// repeat a record. Bit-identical to per-pair Features.
+  /// Tokenizes and embeds each distinct value of the batch once
+  /// (BatchValues) and builds each record's serialization and 4-gram
+  /// embedding from those value reps (integer bucket counts summed
+  /// before the L2 normalization). Soft alignment memoizes each token's
+  /// best match per (token, value); a token's best match over a record
+  /// is the max over the record's values, and the per-token summation
+  /// order is kept. Bit-identical to per-pair Features.
   std::vector<ml::Vector> FeaturesBatch(
       std::span<const RecordPair> pairs) const override;
 

@@ -6,16 +6,16 @@ namespace certa::models {
 
 void FeatureMatcher::Fit(const data::Dataset& dataset, uint64_t seed) {
   CERTA_CHECK(!dataset.train.empty());
-  std::vector<ml::Vector> features;
+  std::vector<RecordPair> pairs;
   std::vector<int> labels;
-  features.reserve(dataset.train.size());
+  pairs.reserve(dataset.train.size());
   labels.reserve(dataset.train.size());
   for (const data::LabeledPair& pair : dataset.train) {
-    features.push_back(Features(dataset.left.record(pair.left_index),
-                                dataset.right.record(pair.right_index)));
+    pairs.push_back({&dataset.left.record(pair.left_index),
+                     &dataset.right.record(pair.right_index)});
     labels.push_back(pair.label);
   }
-  std::vector<ml::Vector> scaled = scaler_.FitTransform(features);
+  std::vector<ml::Vector> scaled = scaler_.FitTransform(FeaturesBatch(pairs));
   switch (head_) {
     case Head::kLogistic: {
       ml::LogisticRegression::Options options;

@@ -28,8 +28,9 @@ class FeatureMatcher : public Matcher {
     kSvm,
   };
 
-  /// Trains the head on the dataset's train pairs. Must be called before
-  /// Score. `seed` controls head initialization and batching.
+  /// Trains the head on the dataset's train pairs, featurized as one
+  /// FeaturesBatch. Must be called before Score. `seed` controls head
+  /// initialization and batching.
   void Fit(const data::Dataset& dataset, uint64_t seed);
 
   double Score(const data::Record& u, const data::Record& v) const override;
@@ -57,10 +58,11 @@ class FeatureMatcher : public Matcher {
   virtual ml::Vector Features(const data::Record& u,
                               const data::Record& v) const = 0;
 
-  /// Batched featurization hook. The default loops Features; subclasses
-  /// override it to share per-record work (tokenization, embeddings)
-  /// across pairs that repeat a record. Must return exactly
-  /// Features(pair) per element, in order.
+  /// Batched featurization hook, used by ScoreBatch and Fit. The default
+  /// loops Features; the bundled models override it to featurize each
+  /// distinct attribute value of the batch once (models::BatchValues)
+  /// and build the rows from those value reps by exact operations only.
+  /// Must return exactly Features(pair) per element, in order.
   virtual std::vector<ml::Vector> FeaturesBatch(
       std::span<const RecordPair> pairs) const;
 

@@ -23,6 +23,13 @@ class SvmModel : public FeatureMatcher {
  protected:
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
+
+  /// Normalizes, tokenizes and shingles each distinct value of the
+  /// batch once (BatchValues), and computes each attribute's feature
+  /// block once per distinct (left value, right value). Bit-identical
+  /// to per-pair Features.
+  std::vector<ml::Vector> FeaturesBatch(
+      std::span<const RecordPair> pairs) const override;
 };
 
 }  // namespace certa::models

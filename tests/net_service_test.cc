@@ -692,18 +692,40 @@ TEST(NetServerTest, StopWithoutDrainParksRunningJobResumable) {
     auto server = StartServer(std::move(options));
     TestClient client(server->port());
     ASSERT_TRUE(client.connected());
-    ASSERT_TRUE(client.Send(SubmitFrame(request, /*watch=*/false)));
+    ASSERT_TRUE(client.Send(SubmitFrame(request, /*watch=*/true)));
     JsonValue frame;
     ASSERT_TRUE(client.ReadFrame(&frame));
     ASSERT_EQ(FrameType(frame), "accepted");
 
-    // Let the job demonstrably start, then stop without draining.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    // Stop without draining once the job has reached the lattice phase:
+    // RunDurableExplain syncs the journal at that phase boundary before
+    // the progress event goes out, so the parked job has paid scores to
+    // resume from however long training and triangle search took.
+    auto progress_phase = [](const JsonValue& event_frame) {
+      const JsonValue* event = event_frame.Find("event");
+      const JsonValue* phase = event_frame.Find("phase");
+      return event != nullptr && event->string_value() == "progress" &&
+                     phase != nullptr
+                 ? phase->string_value()
+                 : std::string();
+    };
+    do {
+      ASSERT_TRUE(client.ReadFrame(&frame));
+      ASSERT_EQ(FrameType(frame), "event");
+      ASSERT_FALSE(progress_phase(frame).empty())
+          << "job ended before its lattice phase";
+    } while (progress_phase(frame) != "lattice");
     server->Stop(/*drain=*/false);
 
     // Every open connection is told, then the server hangs up; EOF here
-    // means BeginDrain (and the runner shutdown inside it) finished.
-    ASSERT_TRUE(client.ReadFrame(&frame));
+    // means BeginDrain (and the runner shutdown inside it) finished. The
+    // watched job's last progress and its parked terminal event may come
+    // first.
+    do {
+      ASSERT_TRUE(client.ReadFrame(&frame));
+    } while (!progress_phase(frame).empty() ||
+             (frame.Find("event") != nullptr &&
+              frame.Find("event")->string_value() == "terminal"));
     EXPECT_EQ(FrameType(frame), "event");
     EXPECT_EQ(frame.Find("event")->string_value(), "shutdown");
     std::string line;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "core/certa_explainer.h"
 #include "data/benchmarks.h"
+#include "explain/perturbation.h"
 #include "models/resilience.h"
 #include "models/scoring_engine.h"
 #include "models/trainer.h"
@@ -599,6 +601,81 @@ TEST_P(ScoreBatchEquivalenceTest, BatchEqualsPerPairScore) {
   // Through the engine (cache + dedupe) the scores are still identical.
   ScoringEngine engine(model.get());
   EXPECT_EQ(engine.ScoreBatch(pairs), batch);
+}
+
+// The per-batch value memos on the batches they serve: lattice-shaped
+// batches (a free record's attributes replaced from several support
+// records under every proper mask, against the fixed pivot, on either
+// side), equal values at distinct addresses, one string in two
+// attributes, missing and numeric values — more than one 32-pair pool
+// chunk in all.
+TEST_P(ScoreBatchEquivalenceTest, ValueMemosMatchPerPairScore) {
+  for (const char* code : {"FZ", "AB", "DA", "IA"}) {
+    SCOPED_TRACE(code);
+    data::Dataset dataset = data::MakeBenchmark(code);
+    auto model = models::TrainMatcher(GetParam(), dataset);
+    const data::LabeledPair& test_pair = dataset.test.front();
+    const data::Record& u = dataset.left.record(test_pair.left_index);
+    const data::Record& v = dataset.right.record(test_pair.right_index);
+    const size_t arity = u.values.size();
+    ASSERT_EQ(arity, v.values.size());
+    ASSERT_GE(arity, 2u);
+
+    std::deque<data::Record> records;  // stable addresses
+    auto add = [&records](data::Record record) {
+      records.push_back(std::move(record));
+      return static_cast<const data::Record*>(&records.back());
+    };
+    std::vector<RecordPair> pairs;
+    for (int s = 1; s <= 3; ++s) {
+      const data::Record& left_support =
+          dataset.left.record(s % dataset.left.size());
+      const data::Record& right_support =
+          dataset.right.record(s % dataset.right.size());
+      for (explain::AttrMask mask = 1; mask + 1 < (1u << arity); ++mask) {
+        pairs.push_back(
+            {add(explain::CopyAttributes(u, left_support, mask)), &v});
+        pairs.push_back(
+            {&u, add(explain::CopyAttributes(v, right_support, mask))});
+      }
+    }
+    // Equal values at distinct addresses.
+    pairs.push_back({add(u), add(v)});
+    pairs.push_back({add(u), &v});
+    // One string in two attributes, on one side and across sides.
+    data::Record twice = u;
+    twice.values[arity - 1] = twice.values[0];
+    data::Record shared = v;
+    shared.values[1] = u.values[0];
+    pairs.push_back({add(twice), &v});
+    pairs.push_back({add(twice), add(shared)});
+    // Missing and numeric values.
+    for (const char* special : {"NaN", "", "null", "42", "3.50", "$1,299"}) {
+      data::Record left = u;
+      left.values[0] = special;
+      data::Record right = v;
+      right.values[arity - 1] = special;
+      right.values[0] = special;
+      pairs.push_back({add(left), &v});
+      pairs.push_back({&u, add(right)});
+      pairs.push_back({add(left), add(right)});
+    }
+    ASSERT_GT(pairs.size(), 32u);
+
+    std::vector<double> batch = model->ScoreBatch(pairs);
+    ASSERT_EQ(batch.size(), pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(batch[i], model->Score(*pairs[i].left, *pairs[i].right))
+          << "pair " << i;
+    }
+    // A pooled engine slices the batch into 32-pair chunks; every chunk
+    // keeps its own memos, and the scores stay the same.
+    util::ThreadPool pool(4);
+    ScoringEngine::Options options;
+    options.pool = &pool;
+    ScoringEngine engine(model.get(), options);
+    EXPECT_EQ(engine.ScoreBatch(pairs), batch);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ScoreBatchEquivalenceTest,
