@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/checkpoint.h"
+
 #ifndef CERTA_CLI_PATH
 #error "CERTA_CLI_PATH must be defined to the certa CLI binary path"
 #endif
@@ -115,6 +117,29 @@ int StopServer(pid_t pid, int sig) {
   if (waitpid(pid, &status, 0) != pid) return -1;
   // The sh wrapper exec's certa, so this is certa's own status.
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Polls an admitted job's checkpoint until the running job has entered
+/// `phase`. Phase boundaries are flushed before the job goes on, so on
+/// true the job dir already holds everything the phase resumes from.
+/// False once the job has stopped running, or when `timeout` runs out.
+bool WaitForPhase(const fs::path& job_dir, const std::string& phase,
+                  std::chrono::seconds timeout) {
+  const std::string path = persist::CheckpointPathInDir(job_dir.string());
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (std::chrono::steady_clock::now() < deadline) {
+    persist::JobCheckpoint checkpoint;
+    if (persist::LoadCheckpoint(path, &checkpoint)) {
+      if (checkpoint.state == "running" && checkpoint.phase == phase) {
+        return true;
+      }
+      if (checkpoint.state != "queued" && checkpoint.state != "running") {
+        return false;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
 }
 
 /// `rest` starts with the subcommand (e.g. "submit --id x").
@@ -219,7 +244,7 @@ TEST(NetE2eTest, SigtermUnderLoadLeavesEveryJobDirResumable) {
   const int port = WaitForPort(log);
   ASSERT_GT(port, 0) << ReadAll(log);
 
-  // A ~2s job occupies the single worker; a second job sits queued.
+  // A long job occupies the single worker; a second job sits queued.
   std::string output;
   ASSERT_EQ(RunShell(ClientCmd(port,
                                "submit --no-watch --id big --dataset AB "
@@ -234,8 +259,12 @@ TEST(NetE2eTest, SigtermUnderLoadLeavesEveryJobDirResumable) {
             0)
       << output;
 
-  // Let the big job demonstrably start, then SIGTERM mid-flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // SIGTERM mid-flight: once the big job has entered its lattice phase,
+  // however long loading, training and triangle search took.
+  EXPECT_TRUE(WaitForPhase(fs::path(job_root) / "big", "lattice",
+                           std::chrono::seconds(60)))
+      << "big job ended before its lattice phase\n"
+      << ReadAll(log);
   ASSERT_EQ(StopServer(server, SIGTERM), 3) << ReadAll(log);
 
   // Both admitted jobs parked resumable: durable state on disk, no

@@ -5,8 +5,9 @@
 //     truncation at every length, a flipped byte at every offset, torn
 //     tails cut on Open, bad headers rewritten, and the read-only
 //     PeerTail over torn tails and wrong headers;
-//   - the failure policy: a write refused mid-record (RLIMIT_FSIZE) is
-//     cut back and strands nothing appended after it;
+//   - the writer, once per format: FrameRecord matches bytes framed by
+//     hand, and a write refused mid-record (RLIMIT_FSIZE) is cut back
+//     and strands nothing appended after it;
 //   - byte pins: a record written through JournalWriter, ScoreStore and
 //     StreamCoordinator equals bytes built here by hand, so the three
 //     on-disk formats cannot move unnoticed;
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,9 +99,23 @@ const FormatCase kFormats[] = {
     {"stream", {"CERTASTREAM v1\n", 0}},
 };
 
-class RecordLogTest : public ::testing::TestWithParam<FormatCase> {
+const FormatCase& CaseOf(const FormatCase& format_case) { return format_case; }
+
+const FormatCase& CaseOf(const std::string& name) {
+  for (const FormatCase& format_case : kFormats) {
+    if (name == format_case.name) return format_case;
+  }
+  throw std::invalid_argument("no format named " + name);
+}
+
+/// Payloads, hand-built logs and scans in the format a fixture's
+/// parameter stands for: the case itself or its name.
+template <typename Param>
+class FormatFixture : public ::testing::TestWithParam<Param> {
  protected:
-  const RecordFormat& format() const { return GetParam().format; }
+  const RecordFormat& format() const {
+    return CaseOf(this->GetParam()).format;
+  }
 
   /// Payload `i`: binary formats get payload_size bytes, the text format
   /// a short JSON object (no newline).
@@ -145,13 +161,7 @@ class RecordLogTest : public ::testing::TestWithParam<FormatCase> {
   }
 };
 
-TEST_P(RecordLogTest, FrameRecordMatchesHandBuiltBytes) {
-  for (int i = 0; i < 3; ++i) {
-    std::string framed;
-    persist::FrameRecord(format(), Payload(i), &framed);
-    EXPECT_EQ(framed, HandFrame(format(), Payload(i)));
-  }
-}
+class RecordLogTest : public FormatFixture<FormatCase> {};
 
 TEST_P(RecordLogTest, TruncationAtEveryLengthKeepsWholeRecordPrefix) {
   const fs::path dir = Scratch(std::string("trunc_") + GetParam().name);
@@ -321,6 +331,21 @@ TEST_P(RecordLogTest, PeerTailIgnoresCompleteWrongHeaderForGood) {
   fs::remove_all(dir);
 }
 
+// -- the writer, once per format ----------------------------------------
+
+/// Parametrized by the format's name, which gtest prints as itself. A
+/// FormatCase prints as its raw bytes, the address of its name among
+/// them, so ctest names built from it change with the load address.
+class RecordLogWriteTest : public FormatFixture<std::string> {};
+
+TEST_P(RecordLogWriteTest, FrameRecordMatchesHandBuiltBytes) {
+  for (int i = 0; i < 3; ++i) {
+    std::string framed;
+    persist::FrameRecord(format(), Payload(i), &framed);
+    EXPECT_EQ(framed, HandFrame(format(), Payload(i)));
+  }
+}
+
 /// Lowers RLIMIT_FSIZE for the scope and ignores SIGXFSZ, so a write
 /// past the limit fails with EFBIG instead of killing the process.
 class FileSizeLimit {
@@ -346,8 +371,8 @@ class FileSizeLimit {
   bool ok_ = false;
 };
 
-TEST_P(RecordLogTest, FailedSyncIsCutBackAndStrandsNothing) {
-  const fs::path dir = Scratch(std::string("fail_") + GetParam().name);
+TEST_P(RecordLogWriteTest, FailedSyncIsCutBackAndStrandsNothing) {
+  const fs::path dir = Scratch("fail_" + GetParam());
   const fs::path path = dir / "log";
   RecordLog log;
   RecordLogRecovery recovery;
@@ -378,6 +403,13 @@ INSTANTIATE_TEST_SUITE_P(
     Formats, RecordLogTest, ::testing::ValuesIn(kFormats),
     [](const ::testing::TestParamInfo<FormatCase>& info) {
       return std::string(info.param.name);
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, RecordLogWriteTest,
+    ::testing::Values("journal", "store", "stream"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
     });
 
 // -- byte pins: the three writers produce exactly the documented bytes --
