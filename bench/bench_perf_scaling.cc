@@ -11,14 +11,18 @@
 // the JSON export before any timing is reported). Besides the
 // google-benchmark output, the binary writes a machine-readable summary
 // to BENCH_perf.json (path overridable via CERTA_BENCH_PERF_JSON) with
-// per-regime wall times and speedups over the serial baseline.
+// per-regime wall times, speedups over the serial baseline, and the CPU
+// time of the whole process and of the calling thread alone (what the
+// pool cannot spread), plus the git sha and build type measured.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <vector>
@@ -167,9 +171,48 @@ int SweepReps() {
   return reps != nullptr ? std::max(5, std::atoi(reps)) : 7;
 }
 
+/// CPU milliseconds spent so far by `who` (RUSAGE_SELF: every thread
+/// of the process; RUSAGE_THREAD: the calling thread).
+double CpuMillis(int who) {
+  rusage usage{};
+  getrusage(who, &usage);
+  return (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1e3 +
+         (usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) / 1e3;
+}
+
+/// First line of a shell command's output, or "" when it prints none.
+std::string FirstLine(const std::string& command) {
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char buffer[256] = {};
+  std::string line = std::fgets(buffer, sizeof(buffer), pipe) != nullptr
+                         ? buffer
+                         : "";
+  pclose(pipe);
+  while (!line.empty() && line.back() == '\n') line.pop_back();
+  return line;
+}
+
+/// HEAD of the source checkout at run time, with "-dirty" when tracked
+/// files differ from it; "unknown" outside a git checkout.
+std::string GitSha() {
+  const std::string git = std::string("git -C '") + CERTA_SOURCE_DIR + "' ";
+  std::string sha = FirstLine(git + "rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  if (!FirstLine(git + "status --porcelain --untracked-files=no 2>/dev/null")
+           .empty()) {
+    sha += "-dirty";
+  }
+  return sha;
+}
+
+/// Wall and CPU time of one regime's sweeps: each the minimum over the
+/// repetitions, plus the median wall time.
 struct SweepTiming {
   double min_ms = 0.0;
   double median_ms = 0.0;
+  double process_cpu_ms = 0.0;
+  double caller_cpu_ms = 0.0;
 };
 
 /// Times `SweepReps()` full sweeps over the explained pairs; fills
@@ -190,7 +233,10 @@ SweepTiming SweepMillis(const Regime& regime, const Fixture& fixture,
   const int reps = SweepReps();
   std::vector<double> samples;
   samples.reserve(static_cast<size_t>(reps));
+  SweepTiming timing;
   for (int rep = 0; rep < reps; ++rep) {
+    const double process_start = CpuMillis(RUSAGE_SELF);
+    const double caller_start = CpuMillis(RUSAGE_THREAD);
     auto start = std::chrono::steady_clock::now();
     for (const auto& pair : fixture.pairs) {
       CertaResult result = explainer.Explain(*pair.left, *pair.right);
@@ -199,9 +245,14 @@ SweepTiming SweepMillis(const Regime& regime, const Fixture& fixture,
     auto stop = std::chrono::steady_clock::now();
     samples.push_back(
         std::chrono::duration<double, std::milli>(stop - start).count());
+    const double process_ms = CpuMillis(RUSAGE_SELF) - process_start;
+    const double caller_ms = CpuMillis(RUSAGE_THREAD) - caller_start;
+    timing.process_cpu_ms =
+        rep == 0 ? process_ms : std::min(timing.process_cpu_ms, process_ms);
+    timing.caller_cpu_ms =
+        rep == 0 ? caller_ms : std::min(timing.caller_cpu_ms, caller_ms);
   }
   std::sort(samples.begin(), samples.end());
-  SweepTiming timing;
   timing.min_ms = samples.front();
   timing.median_ms = samples[samples.size() / 2];
   return timing;
@@ -237,6 +288,10 @@ int WriteSummary() {
   json.BeginObject();
   json.Key("benchmark");
   json.String("perf_scaling");
+  json.Key("git_sha");
+  json.String(GitSha());
+  json.Key("build_type");
+  json.String(CERTA_BUILD_TYPE);
   json.Key("dataset");
   json.String(fixture.dataset_code);
   json.Key("model");
@@ -271,6 +326,10 @@ int WriteSummary() {
     json.Number(millis[r].median_ms);
     json.Key("speedup_vs_serial");
     json.Number(millis[r].min_ms > 0.0 ? serial_ms / millis[r].min_ms : 0.0);
+    json.Key("process_cpu_ms");
+    json.Number(millis[r].process_cpu_ms);
+    json.Key("caller_cpu_ms");
+    json.Number(millis[r].caller_cpu_ms);
     json.EndObject();
   }
   json.EndArray();
@@ -283,12 +342,13 @@ int WriteSummary() {
     return 1;
   }
 
-  std::printf("\n%-10s %8s %8s %8s\n", "regime", "min_ms", "med_ms",
-              "speedup");
+  std::printf("\n%-10s %8s %8s %8s %8s %8s\n", "regime", "min_ms", "med_ms",
+              "speedup", "proc_cpu", "call_cpu");
   for (size_t r = 0; r < regimes.size(); ++r) {
-    std::printf("%-10s %8.2f %8.2f %7.2fx\n", regimes[r].key.c_str(),
-                millis[r].min_ms, millis[r].median_ms,
-                millis[r].min_ms > 0.0 ? serial_ms / millis[r].min_ms : 0.0);
+    std::printf("%-10s %8.2f %8.2f %7.2fx %8.2f %8.2f\n",
+                regimes[r].key.c_str(), millis[r].min_ms, millis[r].median_ms,
+                millis[r].min_ms > 0.0 ? serial_ms / millis[r].min_ms : 0.0,
+                millis[r].process_cpu_ms, millis[r].caller_cpu_ms);
   }
   std::printf("results identical across regimes: %s\n",
               identical ? "yes" : "NO");

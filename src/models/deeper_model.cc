@@ -118,6 +118,13 @@ ValueRep MakeValueRep(std::string_view value, TokenIds* token_ids,
   return rep;
 }
 
+/// Value reps and token ids carried across the batches of one memo.
+struct Memo : ScoreMemo::State {
+  ValueIds values;
+  TokenIds tokens;
+  std::vector<ValueRep> reps;  // by value id
+};
+
 RecordRep<uint64_t> RecordFromValues(std::span<const uint32_t> ids,
                                      const std::vector<ValueRep>& values) {
   RecordRep<uint64_t> rep;
@@ -152,24 +159,23 @@ ml::Vector DeepErModel::Features(const data::Record& u,
 }
 
 std::vector<ml::Vector> DeepErModel::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
-  BatchValues values(pairs);
-  TokenIds token_ids;
-  std::vector<ValueRep> value_reps;
-  value_reps.reserve(values.size());
-  for (uint32_t id = 0; id < values.size(); ++id) {
-    value_reps.push_back(MakeValueRep(values.value(id), &token_ids,
-                                      word_embedder_, ngram_embedder_));
+    std::span<const RecordPair> pairs, ScoreMemo* score_memo) const {
+  Memo& memo = score_memo->Get<Memo>();
+  BatchValues batch(pairs, &memo.values);
+  for (uint32_t id = static_cast<uint32_t>(memo.reps.size());
+       id < memo.values.size(); ++id) {
+    memo.reps.push_back(MakeValueRep(memo.values.value(id), &memo.tokens,
+                                     word_embedder_, ngram_embedder_));
   }
   std::vector<RecordRep<uint64_t>> reps;
-  reps.reserve(values.records());
-  for (size_t r = 0; r < values.records(); ++r) {
-    reps.push_back(RecordFromValues(values.ids(r), value_reps));
+  reps.reserve(batch.records());
+  for (size_t r = 0; r < batch.records(); ++r) {
+    reps.push_back(RecordFromValues(batch.ids(r), memo.reps));
   }
   std::vector<ml::Vector> rows;
   rows.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    rows.push_back(PairFeatures(reps[values.left(i)], reps[values.right(i)]));
+    rows.push_back(PairFeatures(reps[batch.left(i)], reps[batch.right(i)]));
   }
   return rows;
 }

@@ -28,13 +28,13 @@ class DeepErModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Tokenizes and embeds each distinct value of the batch once
-  /// (BatchValues), then builds each distinct record's rep by summing
-  /// its values' +/-1 bucket counts before the L2 normalization and
-  /// uniting their token-id sets. The counts are integers, so the sums
-  /// are exact: bit-identical to per-pair Features.
-  std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const override;
+  /// Tokenizes and embeds each value once per `memo` (BatchValues),
+  /// then builds each distinct record of the batch by summing its
+  /// values' +/-1 bucket counts before the L2 normalization and uniting
+  /// their token-id sets. The counts are integers, so the sums are
+  /// exact: bit-identical to per-pair Features.
+  std::vector<ml::Vector> FeaturesBatch(std::span<const RecordPair> pairs,
+                                        ScoreMemo* memo) const override;
 
  private:
   text::HashingVectorizer word_embedder_;

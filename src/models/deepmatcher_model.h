@@ -30,13 +30,14 @@ class DeepMatcherModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Preprocesses each distinct value of the batch once (BatchValues:
-  /// tokens, unique-token set, normalized string, numeric parse,
-  /// trigram shingles), and computes each attribute's feature block
-  /// once per distinct (left value, right value). Bit-identical to
-  /// per-pair Features.
-  std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const override;
+  /// Preprocesses each value once per `memo` (BatchValues: token ids,
+  /// unique-token set, normalized string, numeric parse, trigram
+  /// shingles), computes each attribute's feature block once per (left
+  /// value, right value) and memo, and reads Monge-Elkan's Jaro-Winkler
+  /// of each ordered token pair from the memo's token table.
+  /// Bit-identical to per-pair Features.
+  std::vector<ml::Vector> FeaturesBatch(std::span<const RecordPair> pairs,
+                                        ScoreMemo* memo) const override;
 };
 
 }  // namespace certa::models

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "models/batch_values.h"
 #include "text/similarity.h"
@@ -133,21 +132,23 @@ ml::Vector PairFeatures(const RecordRep& u, const RecordRep& v) {
   };
 }
 
-// --- batch-local memoization -------------------------------------------
+// --- memoized featurization --------------------------------------------
 //
 // SoftAlignment is the model's cost center: O(|u|·|v|) Jaro-Winkler
-// calls per pair. Within one ScoreBatch the same values (and the same
-// tokens) recur constantly — a lattice cell copies a few support values
-// into the free record, and every pair shares the pivot side — so
-// FeaturesBatch featurizes each distinct value once (BatchValues),
-// interns the batch's tokens, and memoizes every distinct Jaro-Winkler
-// evaluation and every token's best match within a value and over a
-// record (AlignmentMemos). Identical token strings get identical ids,
-// and the memos store the exact doubles the per-pair loops compute, so
-// the features are bit-identical to the uninterned per-pair path (which
-// Features() keeps using).
+// calls per pair. Across the batches of one explanation the same values
+// (and the same tokens) recur constantly — a lattice cell copies a few
+// support values into the free record, and every pair shares the pivot
+// side — so FeaturesBatch featurizes each value once per ScoreMemo,
+// interns its tokens into the memo's table, and memoizes every distinct
+// Jaro-Winkler evaluation and every token's best match within a value
+// (Memo), plus each token's best match over a record of the batch.
+// Identical token strings get identical ids, and the memos store the
+// exact doubles the per-pair loops compute, so the features are
+// bit-identical to the uninterned per-pair path (which Features() keeps
+// using).
 
-/// Distinct tokens of one batch: id -> string/marker-flag/parsed-number.
+/// Distinct tokens of one memo: id -> string/marker-flag/parsed-number,
+/// and the Jaro-Winkler of the ordered token pairs asked for.
 struct TokenTable {
   TokenIds ids;
   std::vector<uint8_t> marker;
@@ -166,36 +167,10 @@ struct TokenTable {
     }
     return static_cast<int>(id);
   }
-  size_t size() const { return ids.size(); }
-  const std::string& token(int id) const {
-    return ids.token(static_cast<uint32_t>(id));
-  }
-};
-
-/// (row, col) -> double memo over batch-local ids: a dense matrix while
-/// rows x cols stays within `dense_limit` entries, a hash map beyond
-/// that. Every memoized quantity lies in [0, 1], so a negative slot
-/// means "not computed yet".
-class Memo {
- public:
-  Memo(size_t rows, size_t cols, size_t dense_limit) : cols_(cols) {
-    if (rows * cols <= dense_limit) dense_.assign(rows * cols, -1.0);
-  }
-
-  double& Slot(size_t row, size_t col) {
-    if (!dense_.empty()) return dense_[row * cols_ + col];
-    return sparse_.try_emplace((static_cast<uint64_t>(row) << 32) | col, -1.0)
-        .first->second;
-  }
-
- private:
-  size_t cols_;
-  std::vector<double> dense_;
-  std::unordered_map<uint64_t, double> sparse_;
 };
 
 /// One distinct value's share of a record rep: its Ditto-normalized
-/// tokens as batch ids, and its unnormalized +/-1 4-gram bucket counts
+/// tokens as memo ids, and its unnormalized +/-1 4-gram bucket counts
 /// (summed per record by AddCounts).
 struct ValueRep {
   bool missing = false;
@@ -203,9 +178,24 @@ struct ValueRep {
   ml::Vector gram_counts;
 };
 
-/// A record rebuilt from value reps: its serialized sequence as ids,
-/// the ids of its non-missing values, its sorted unique ids and its
-/// normalized 4-gram embedding.
+/// What a memo carries across batches: the token table, a rep per
+/// value, the [COLa] marker ids, and each token's best match within one
+/// value. A token's best match over a record is the max of its best
+/// matches over the record's values: the per-pair inner loop takes the
+/// max over the record's non-marker tokens, which the values partition,
+/// and max is exact in any order. Perturbed records share most values,
+/// so the per-value memo serves them.
+struct Memo : ScoreMemo::State {
+  ValueIds values;
+  TokenTable table;
+  std::vector<ValueRep> reps;  // by value id
+  std::vector<int> markers;    // by attribute index
+  PairMemo best_in_value;    // by (token, value)
+};
+
+/// A record of the batch rebuilt from value reps: its serialized
+/// sequence as memo ids, the ids of its non-missing values, its sorted
+/// unique ids and its normalized 4-gram embedding.
 struct BatchRecord {
   std::vector<int> seq;
   std::vector<uint32_t> values;
@@ -213,45 +203,18 @@ struct BatchRecord {
   ml::Vector gram_embed;
 };
 
-/// The batch's three memos: every directional (token, token)
-/// Jaro-Winkler; each token's best match within one value; and each
-/// token's best match over one record.
-///
-/// A token's best match over a record is the max of its best matches
-/// over the record's values: the per-pair inner loop takes the max over
-/// the record's non-marker tokens, which the values partition, and max
-/// is exact in any order. Perturbed records share most values, so the
-/// per-value memo serves them; every pair shares the pivot record, so
-/// the per-record memo serves it. Each memoized value is computed by
-/// the exact loop it replaces, so features stay bit-identical.
-struct AlignmentMemos {
-  AlignmentMemos(size_t vocab, size_t values, size_t records)
-      : jaro_winkler(vocab, vocab, size_t{1} << 20),  // 8 MiB at most
-        best_in_value(vocab, values, size_t{1} << 22),
-        best_in_record(vocab, records, size_t{1} << 22) {}
-
-  Memo jaro_winkler;
-  Memo best_in_value;
-  Memo best_in_record;
-};
-
-double BestInValue(const TokenTable& table, AlignmentMemos* memos, int id_a,
-                   uint32_t value, const std::vector<int>& value_ids) {
-  double& slot = memos->best_in_value.Slot(id_a, value);
+double BestInValue(Memo* memo, int id_a, uint32_t value) {
+  double& slot = memo->best_in_value.Slot(id_a, value);
   if (slot >= 0.0) return slot;
   // The original SoftAlignment inner loop over one value's tokens.
   double best = 0.0;
-  for (int id_b : value_ids) {
-    if (table.marker[id_b]) continue;
+  for (int id_b : memo->reps[value].ids) {
+    if (memo->table.marker[id_b]) continue;
     if (id_a == id_b) {
       best = 1.0;
       break;
     }
-    double& jw = memos->jaro_winkler.Slot(id_a, id_b);
-    if (jw < 0.0) {
-      jw = text::JaroWinklerSimilarity(table.token(id_a), table.token(id_b));
-    }
-    best = std::max(best, jw);
+    best = std::max(best, memo->table.ids.JaroWinkler(id_a, id_b));
   }
   slot = best;
   return best;
@@ -259,21 +222,22 @@ double BestInValue(const TokenTable& table, AlignmentMemos* memos, int id_a,
 
 /// SoftAlignment over interned sequences: the same per-token best
 /// matches, summed over `a`'s non-marker tokens in sequence order.
+/// `best_in_record` holds each token's best match over one record of
+/// the batch, by (token, record): every pair shares the pivot record,
+/// so it serves that.
 double SoftAlignmentInterned(const BatchRecord& a, const BatchRecord& b,
-                             size_t b_index,
-                             const std::vector<ValueRep>& values,
-                             const TokenTable& table, AlignmentMemos* memos) {
+                             uint32_t b_index, Memo* memo,
+                             PairMemo* best_in_record) {
   if (a.seq.empty() || b.seq.empty()) return 0.0;
   double total = 0.0;
   int counted = 0;
   for (int id_a : a.seq) {
-    if (table.marker[id_a]) continue;
-    double& best = memos->best_in_record.Slot(id_a, b_index);
+    if (memo->table.marker[id_a]) continue;
+    double& best = best_in_record->Slot(id_a, b_index);
     if (best < 0.0) {
       double max = 0.0;
       for (uint32_t value : b.values) {
-        max = std::max(
-            max, BestInValue(table, memos, id_a, value, values[value].ids));
+        max = std::max(max, BestInValue(memo, id_a, value));
       }
       best = max;
     }
@@ -332,36 +296,36 @@ ml::Vector DittoModel::Features(const data::Record& u,
 }
 
 std::vector<ml::Vector> DittoModel::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
-  // Pass 1: one rep per distinct value, tokens interned into the batch
-  // table as each rep is built; then one record per distinct record
-  // (by address), assembled from its values' reps.
-  BatchValues values(pairs);
-  TokenTable table;
-  std::vector<ValueRep> value_reps(values.size());
-  for (uint32_t id = 0; id < values.size(); ++id) {
-    std::string_view value = values.value(id);
-    ValueRep& rep = value_reps[id];
+    std::span<const RecordPair> pairs, ScoreMemo* score_memo) const {
+  // Pass 1: a rep for each value new to the memo, its tokens interned
+  // into the memo's table; then one record per distinct record of the
+  // batch (by address), assembled from its values' reps.
+  Memo& memo = score_memo->Get<Memo>();
+  BatchValues batch(pairs, &memo.values);
+  for (uint32_t id = static_cast<uint32_t>(memo.reps.size());
+       id < memo.values.size(); ++id) {
+    std::string_view value = memo.values.value(id);
+    ValueRep& rep = memo.reps.emplace_back();
     rep.missing = text::IsMissing(value);
     if (rep.missing) continue;
     for (const std::string& token : text::Tokenize(value)) {
-      rep.ids.push_back(table.Intern(NormalizeToken(token)));
+      rep.ids.push_back(memo.table.Intern(NormalizeToken(token)));
     }
     rep.gram_counts = ngram_embedder_.TransformHashed(
         text::CharNgramHashes(value, 4, ngram_embedder_.seed()));
   }
-  std::vector<int> markers;
-  std::vector<BatchRecord> records(values.records());
-  for (size_t r = 0; r < values.records(); ++r) {
-    std::span<const uint32_t> ids = values.ids(r);
+  std::vector<BatchRecord> records(batch.records());
+  for (size_t r = 0; r < batch.records(); ++r) {
+    std::span<const uint32_t> ids = batch.ids(r);
     BatchRecord& record = records[r];
     record.gram_embed.assign(kNgramDim, 0.0);
     for (size_t a = 0; a < ids.size(); ++a) {
-      if (a == markers.size()) {
-        markers.push_back(table.Intern("[COL" + std::to_string(a) + "]"));
+      if (a == memo.markers.size()) {
+        memo.markers.push_back(
+            memo.table.Intern("[COL" + std::to_string(a) + "]"));
       }
-      record.seq.push_back(markers[a]);
-      const ValueRep& value = value_reps[ids[a]];
+      record.seq.push_back(memo.markers[a]);
+      const ValueRep& value = memo.reps[ids[a]];
       if (value.missing) continue;
       record.seq.insert(record.seq.end(), value.ids.begin(), value.ids.end());
       record.values.push_back(ids[a]);
@@ -374,29 +338,29 @@ std::vector<ml::Vector> DittoModel::FeaturesBatch(
     SortUnique(&record.unique_ids);
   }
 
-  // Pass 2: features through the batch-wide memos — every distinct
-  // (token, token), (token, value) and (token, record) evaluation is
-  // paid once per batch instead of once per pair. Values are
-  // bit-identical to PairFeatures.
-  AlignmentMemos memos(table.size(), values.size(), records.size());
+  // Pass 2: features through the memos — every distinct (token, token)
+  // and (token, value) evaluation is paid once per memo, and every
+  // (token, record) once per batch, instead of once per pair. Values
+  // are bit-identical to PairFeatures.
+  PairMemo best_in_record;
   std::vector<ml::Vector> rows;
   rows.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    const size_t left = values.left(i);
-    const size_t right = values.right(i);
+    const uint32_t left = static_cast<uint32_t>(batch.left(i));
+    const uint32_t right = static_cast<uint32_t>(batch.right(i));
     const BatchRecord& u = records[left];
     const BatchRecord& v = records[right];
     double align_uv =
-        SoftAlignmentInterned(u, v, right, value_reps, table, &memos);
+        SoftAlignmentInterned(u, v, right, &memo, &best_in_record);
     double align_vu =
-        SoftAlignmentInterned(v, u, left, value_reps, table, &memos);
+        SoftAlignmentInterned(v, u, left, &memo, &best_in_record);
     rows.push_back({
         align_uv,
         align_vu,
         std::min(align_uv, align_vu),
         text::CosineSimilarity(u.gram_embed, v.gram_embed),
         JaccardOfIds(u.unique_ids, v.unique_ids),
-        NumericAgreementInterned(u.seq, v.seq, table),
+        NumericAgreementInterned(u.seq, v.seq, memo.table),
     });
   }
   return rows;

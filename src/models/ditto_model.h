@@ -32,15 +32,16 @@ class DittoModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Tokenizes and embeds each distinct value of the batch once
-  /// (BatchValues) and builds each record's serialization and 4-gram
-  /// embedding from those value reps (integer bucket counts summed
-  /// before the L2 normalization). Soft alignment memoizes each token's
-  /// best match per (token, value); a token's best match over a record
-  /// is the max over the record's values, and the per-token summation
-  /// order is kept. Bit-identical to per-pair Features.
-  std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const override;
+  /// Tokenizes and embeds each value once per `memo` (BatchValues) and
+  /// builds each record's serialization and 4-gram embedding from those
+  /// value reps (integer bucket counts summed before the L2
+  /// normalization). Soft alignment reads Jaro-Winkler per ordered
+  /// token pair and each token's best match per (token, value) from the
+  /// memo; a token's best match over a record is the max over the
+  /// record's values, kept per batch, and the per-token summation order
+  /// is kept. Bit-identical to per-pair Features.
+  std::vector<ml::Vector> FeaturesBatch(std::span<const RecordPair> pairs,
+                                        ScoreMemo* memo) const override;
 
  private:
   text::HashingVectorizer ngram_embedder_;

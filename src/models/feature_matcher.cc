@@ -15,7 +15,9 @@ void FeatureMatcher::Fit(const data::Dataset& dataset, uint64_t seed) {
                      &dataset.right.record(pair.right_index)});
     labels.push_back(pair.label);
   }
-  std::vector<ml::Vector> scaled = scaler_.FitTransform(FeaturesBatch(pairs));
+  ScoreMemo memo;
+  std::vector<ml::Vector> scaled =
+      scaler_.FitTransform(FeaturesBatch(pairs, &memo));
   switch (head_) {
     case Head::kLogistic: {
       ml::LogisticRegression::Options options;
@@ -55,7 +57,7 @@ double FeatureMatcher::Score(const data::Record& u,
 }
 
 std::vector<ml::Vector> FeatureMatcher::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
+    std::span<const RecordPair> pairs, ScoreMemo* /*memo*/) const {
   std::vector<ml::Vector> rows;
   rows.reserve(pairs.size());
   for (const RecordPair& pair : pairs) {
@@ -67,7 +69,10 @@ std::vector<ml::Vector> FeatureMatcher::FeaturesBatch(
 std::vector<double> FeatureMatcher::ScoreBatch(
     std::span<const RecordPair> pairs) const {
   CERTA_CHECK(fitted_);
-  std::vector<ml::Vector> rows = FeaturesBatch(pairs);
+  ScoreMemo* memo = ScoreMemo::Installed();
+  ScoreMemo fresh;
+  std::vector<ml::Vector> rows =
+      FeaturesBatch(pairs, memo != nullptr ? memo : &fresh);
   for (ml::Vector& row : rows) scaler_.TransformInPlace(&row);
   switch (head_) {
     case Head::kLogistic:

@@ -12,6 +12,7 @@
 #include "ml/mlp.h"
 #include "ml/scaler.h"
 #include "models/matcher.h"
+#include "models/score_memo.h"
 
 namespace certa::models {
 
@@ -35,9 +36,10 @@ class FeatureMatcher : public Matcher {
 
   double Score(const data::Record& u, const data::Record& v) const override;
 
-  /// Batched scoring: featurizes all pairs via FeaturesBatch, scales
-  /// in place, then runs one head-level batch predict. Bit-identical to
-  /// calling Score per pair.
+  /// Batched scoring: featurizes all pairs via FeaturesBatch, through
+  /// the ScoreMemo installed on the calling thread (a fresh one when
+  /// none is), scales in place, then runs one head-level batch predict.
+  /// Bit-identical to calling Score per pair.
   std::vector<double> ScoreBatch(
       std::span<const RecordPair> pairs) const override;
 
@@ -60,11 +62,12 @@ class FeatureMatcher : public Matcher {
 
   /// Batched featurization hook, used by ScoreBatch and Fit. The default
   /// loops Features; the bundled models override it to featurize each
-  /// distinct attribute value of the batch once (models::BatchValues)
-  /// and build the rows from those value reps by exact operations only.
-  /// Must return exactly Features(pair) per element, in order.
+  /// attribute value once per `memo` (models::BatchValues) and build
+  /// the rows from those value reps by exact operations only. Must
+  /// return exactly Features(pair) per element, in order, whatever
+  /// `memo` already holds.
   virtual std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const;
+      std::span<const RecordPair> pairs, ScoreMemo* memo) const;
 
  private:
   Head head_;

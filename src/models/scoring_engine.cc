@@ -135,11 +135,13 @@ constexpr size_t kMaxCacheEntriesPerShard = size_t{1} << 16;
 /// Batches smaller than this skip the pool (dispatch overhead would
 /// dominate the scoring work).
 constexpr size_t kMinParallelBatch = 8;
-/// Pairs per pool task when fanning a batch out. Deliberately
-/// independent of the worker count: chunk boundaries fix the base
-/// model's ScoreBatch slices (and hence its batch-local memoization
-/// reuse), so the total work is identical at any thread count —
-/// threads only change who runs a chunk.
+/// Pairs per pool task when fanning a batch out. Independent of the
+/// worker count, so the base model's ScoreBatch slices are the same at
+/// any pool size; without a pool a batch is one unsliced call. The
+/// slices do not bound what a model featurizes once: every chunk runs
+/// with one of the engine's memos, which carries value reps across
+/// chunks and batches. Which memo a chunk gets depends on scheduling,
+/// so the featurization work (never a score) varies between runs.
 constexpr size_t kParallelChunk = 32;
 
 }  // namespace
@@ -213,7 +215,7 @@ void ScoringEngine::ScoreMisses(const std::vector<RecordPair>& pairs,
   auto score_range = [&](size_t begin, size_t end) {
     std::span<const RecordPair> slice(pairs.data() + begin, end - begin);
     try {
-      const std::vector<double> chunk_scores = base_->ScoreBatch(slice);
+      const std::vector<double> chunk_scores = ScoreChunk(slice);
       std::copy(chunk_scores.begin(), chunk_scores.end(),
                 scores->begin() + static_cast<ptrdiff_t>(begin));
       std::fill(ok->begin() + static_cast<ptrdiff_t>(begin),
@@ -266,6 +268,28 @@ void ScoringEngine::ScoreMisses(const std::vector<RecordPair>& pairs,
     if (error) std::rethrow_exception(error);
   }
   *budget_exhausted = exhausted.load(std::memory_order_relaxed);
+}
+
+std::vector<double> ScoringEngine::ScoreChunk(
+    std::span<const RecordPair> pairs) const {
+  if (ScoreMemo::Installed() != nullptr) return base_->ScoreBatch(pairs);
+  std::unique_ptr<ScoreMemo> memo;
+  {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    if (!idle_memos_.empty()) {
+      memo = std::move(idle_memos_.back());
+      idle_memos_.pop_back();
+    }
+  }
+  if (memo == nullptr) memo = std::make_unique<ScoreMemo>();
+  std::vector<double> scores;
+  {
+    ScoreMemo::Scope scope(memo.get());
+    scores = base_->ScoreBatch(pairs);
+  }
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  idle_memos_.push_back(std::move(memo));
+  return scores;
 }
 
 namespace {

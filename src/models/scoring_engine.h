@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "models/matcher.h"
+#include "models/score_memo.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
@@ -134,6 +135,17 @@ class PredictionCache {
 ///     model's ScoreBatch (in fixed chunks over the thread pool when
 ///     one is attached); then insert the new scores.
 ///
+/// Each base ScoreBatch runs with one of the engine's ScoreMemos
+/// installed on its thread, so the model featurizes a value once per
+/// memo rather than once per call. The engine creates a memo on its
+/// first model call and lends each to one chunk at a time, so at most
+/// pool size + 1 exist; they live as long as the engine, which
+/// CertaExplainer makes per Explain. An engine called from inside
+/// another engine's chunk (an explainer's engine over the harness's or
+/// the CLI's) uses the memo that chunk installed on the calling thread;
+/// chunks it hands to a pool of its own run with its own memos, which
+/// live as long as it does.
+///
 /// Every returned score is bit-identical to base->Score(u, v): the
 /// cache only ever stores values the deterministic base model produced,
 /// and batching/pooling never changes the arithmetic of an individual
@@ -238,6 +250,12 @@ class ScoringEngine : public Matcher {
                    bool isolate_failures, std::vector<double>* scores,
                    std::vector<uint8_t>* ok, bool* budget_exhausted) const;
 
+  /// One base ScoreBatch with a memo installed: the calling thread's,
+  /// or an idle one of the engine's (created when none is idle), given
+  /// back once the call returns. A call that throws drops its memo,
+  /// which it may have left half-built.
+  std::vector<double> ScoreChunk(std::span<const RecordPair> pairs) const;
+
   /// Registry handles, resolved once in the constructor (all null when
   /// Options::metrics is null).
   struct MetricHandles {
@@ -252,6 +270,9 @@ class ScoringEngine : public Matcher {
   Options options_;
   mutable PredictionCache cache_;
   MetricHandles metric_;
+  mutable std::mutex memo_mutex_;
+  /// Memos no chunk holds at the moment (guarded by memo_mutex_).
+  mutable std::vector<std::unique_ptr<ScoreMemo>> idle_memos_;
 };
 
 }  // namespace certa::models

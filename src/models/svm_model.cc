@@ -47,6 +47,8 @@ Block AttributeBlock(const ValueRep& u, const ValueRep& v) {
   return {jaccard, trigram, similarity, 0.0};
 }
 
+using Memo = AlignedMemo<ValueRep, Block>;
+
 }  // namespace
 
 SvmModel::SvmModel() : FeatureMatcher(Head::kSvm) {}
@@ -75,8 +77,9 @@ ml::Vector SvmModel::Features(const data::Record& u,
 }
 
 std::vector<ml::Vector> SvmModel::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
-  return AlignedFeaturesBatch(pairs, MakeValueRep, AttributeBlock, "SvmModel");
+    std::span<const RecordPair> pairs, ScoreMemo* memo) const {
+  return AlignedFeaturesBatch(pairs, &memo->Get<Memo>(), MakeValueRep,
+                              AttributeBlock, "SvmModel");
 }
 
 }  // namespace certa::models

@@ -24,12 +24,12 @@ class SvmModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Normalizes, tokenizes and shingles each distinct value of the
-  /// batch once (BatchValues), and computes each attribute's feature
-  /// block once per distinct (left value, right value). Bit-identical
-  /// to per-pair Features.
-  std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const override;
+  /// Normalizes, tokenizes and shingles each value once per `memo`
+  /// (BatchValues), and computes each attribute's feature block once
+  /// per (left value, right value) and memo. Bit-identical to per-pair
+  /// Features.
+  std::vector<ml::Vector> FeaturesBatch(std::span<const RecordPair> pairs,
+                                        ScoreMemo* memo) const override;
 };
 
 }  // namespace certa::models

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <unordered_set>
 
 #include "text/simd.h"
@@ -43,8 +44,18 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() || b.empty()) return 0.0;
   const int match_window =
       std::max(0, static_cast<int>(std::max(a.size(), b.size())) / 2 - 1);
-  std::vector<bool> a_matched(a.size(), false);
-  std::vector<bool> b_matched(b.size(), false);
+  // Match flags on the stack for strings up to kStackFlags bytes, such
+  // as the tokens the models compare; on the heap only beyond.
+  constexpr size_t kStackFlags = 64;
+  bool stack_flags[2 * kStackFlags] = {};
+  std::unique_ptr<bool[]> heap_flags;
+  bool* a_matched = stack_flags;
+  bool* b_matched = stack_flags + kStackFlags;
+  if (a.size() > kStackFlags || b.size() > kStackFlags) {
+    heap_flags = std::make_unique<bool[]>(a.size() + b.size());
+    a_matched = heap_flags.get();
+    b_matched = a_matched + a.size();
+  }
   int matches = 0;
   for (size_t i = 0; i < a.size(); ++i) {
     size_t lo = i > static_cast<size_t>(match_window)

@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/checkpoint.h"
 #include "util/json_parser.h"
 
 #ifndef CERTA_CLI_PATH
@@ -227,6 +228,42 @@ fs::path FindJobDir(const fs::path& job_root, const std::string& id) {
     if (fs::exists(candidate)) return candidate;
   }
   return {};
+}
+
+/// Waits until the jobs are in flight past their triangle search: one
+/// look at their checkpoints finds each queued, or running in its
+/// lattice or counterfactual phase, and at least one running. Phase
+/// boundaries are flushed before a job goes on, so this holds whatever
+/// loading, training and triangle search took. False once a job has
+/// stopped, or when `timeout` runs out.
+bool WaitForLatticeInFlight(const fs::path& job_root,
+                            const std::vector<std::string>& ids,
+                            std::chrono::seconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (std::chrono::steady_clock::now() < deadline) {
+    bool ready = true;
+    bool running = false;
+    for (const std::string& id : ids) {
+      const fs::path dir = FindJobDir(job_root, id);
+      persist::JobCheckpoint checkpoint;
+      if (dir.empty() ||
+          !persist::LoadCheckpoint(persist::CheckpointPathInDir(dir.string()),
+                                   &checkpoint)) {
+        ready = false;
+        continue;
+      }
+      if (checkpoint.state == "running") {
+        running = true;
+        ready = ready && (checkpoint.phase == "lattice" ||
+                          checkpoint.phase == "counterfactuals");
+      } else if (checkpoint.state != "queued") {
+        return false;
+      }
+    }
+    if (ready && running) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
 }
 
 /// Digs a number out of the stats frame: stats["fleet"][section][key].
@@ -499,7 +536,10 @@ TEST(FleetE2eTest, SigtermDrainParksInFlightWorkFleetWide) {
               0)
         << output;
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_TRUE(WaitForLatticeInFlight(fs::path(job_root), {"d0", "d1"},
+                                     std::chrono::seconds(60)))
+      << "a job ended before SIGTERM\n"
+      << ReadAll(log);
 
   // Parked (resumable) work fleet-wide → master exit 3.
   EXPECT_EQ(StopServer(master, SIGTERM), 3) << ReadAll(log);

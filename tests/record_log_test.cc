@@ -24,6 +24,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -90,6 +91,13 @@ struct FormatCase {
   const char* name;
   RecordFormat format;
 };
+
+// Names the parameter in test names and failure messages. Without it
+// gtest prints the struct's raw bytes, among them the address of
+// `name`, and the ctest names change with the load address.
+void PrintTo(const FormatCase& format_case, std::ostream* os) {
+  *os << format_case.name;
+}
 
 // The three formats in use, spelled out from their documentation; the
 // byte pins below tie each to the class that writes it.
@@ -333,9 +341,7 @@ TEST_P(RecordLogTest, PeerTailIgnoresCompleteWrongHeaderForGood) {
 
 // -- the writer, once per format ----------------------------------------
 
-/// Parametrized by the format's name, which gtest prints as itself. A
-/// FormatCase prints as its raw bytes, the address of its name among
-/// them, so ctest names built from it change with the load address.
+/// Parametrized by the format's name.
 class RecordLogWriteTest : public FormatFixture<std::string> {};
 
 TEST_P(RecordLogWriteTest, FrameRecordMatchesHandBuiltBytes) {

@@ -19,6 +19,7 @@
 #include "data/benchmarks.h"
 #include "explain/perturbation.h"
 #include "models/resilience.h"
+#include "models/score_memo.h"
 #include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "obs/metrics.h"
@@ -668,13 +669,77 @@ TEST_P(ScoreBatchEquivalenceTest, ValueMemosMatchPerPairScore) {
       EXPECT_EQ(batch[i], model->Score(*pairs[i].left, *pairs[i].right))
           << "pair " << i;
     }
-    // A pooled engine slices the batch into 32-pair chunks; every chunk
-    // keeps its own memos, and the scores stay the same.
+    // A pooled engine slices the batch into 32-pair chunks, each scored
+    // with one of the engine's memos; the scores stay the same.
     util::ThreadPool pool(4);
     ScoringEngine::Options options;
     options.pool = &pool;
     ScoringEngine engine(model.get(), options);
     EXPECT_EQ(engine.ScoreBatch(pairs), batch);
+  }
+}
+
+// One memo carried over several batches, as an explanation's engine
+// carries its memos: lattice-shaped batches in which consecutive
+// batches share a support record (hence values), each built in records
+// that are destroyed before the next batch reuses their storage, so
+// record addresses recur with new content. A memo keyed by record
+// address would serve an earlier batch's record here.
+TEST_P(ScoreBatchEquivalenceTest, MemoCarriedAcrossBatchesMatchesPerPairScore) {
+  for (const char* code : {"FZ", "AB", "DA", "IA"}) {
+    SCOPED_TRACE(code);
+    data::Dataset dataset = data::MakeBenchmark(code);
+    auto model = models::TrainMatcher(GetParam(), dataset);
+    const data::LabeledPair& test_pair = dataset.test.front();
+    const data::Record& u = dataset.left.record(test_pair.left_index);
+    const data::Record& v = dataset.right.record(test_pair.right_index);
+    const size_t arity = u.values.size();
+    ASSERT_EQ(arity, v.values.size());
+    ASSERT_GE(arity, 2u);
+    const size_t masks = (size_t{1} << arity) - 2;
+
+    models::ScoreMemo memo;
+    util::ThreadPool pool(4);
+    ScoringEngine::Options options;
+    options.enable_cache = false;  // every batch reaches the model
+    options.pool = &pool;
+    ScoringEngine engine(model.get(), options);
+    std::vector<data::Record> records;
+    records.reserve(4 * masks);
+    const data::Record* first_record = nullptr;
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE(round);
+      records.clear();
+      for (int s = round + 1; s <= round + 2; ++s) {
+        const data::Record& left_support =
+            dataset.left.record(s % dataset.left.size());
+        const data::Record& right_support =
+            dataset.right.record(s % dataset.right.size());
+        for (explain::AttrMask mask = 1; mask + 1 < (1u << arity); ++mask) {
+          records.push_back(explain::CopyAttributes(u, left_support, mask));
+          records.push_back(explain::CopyAttributes(v, right_support, mask));
+        }
+      }
+      if (round == 0) first_record = records.data();
+      ASSERT_EQ(records.data(), first_record) << "storage not reused";
+      std::vector<RecordPair> pairs;
+      for (size_t r = 0; r < records.size(); r += 2) {
+        pairs.push_back({&records[r], &v});
+        pairs.push_back({&u, &records[r + 1]});
+      }
+
+      std::vector<double> serial;
+      {
+        models::ScoreMemo::Scope scope(&memo);
+        serial = model->ScoreBatch(pairs);
+      }
+      ASSERT_EQ(serial.size(), pairs.size());
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_EQ(serial[i], model->Score(*pairs[i].left, *pairs[i].right))
+            << "pair " << i;
+      }
+      EXPECT_EQ(engine.ScoreBatch(pairs), serial);
+    }
   }
 }
 

@@ -1,7 +1,16 @@
 #include "text/similarity.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "data/benchmarks.h"
+#include "text/tokenizer.h"
 #include "util/random.h"
 
 namespace certa::text {
@@ -30,6 +39,97 @@ TEST(JaroTest, KnownValues) {
   EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "abc"), 1.0);
   // Classic textbook value: JARO(martha, marhta) = 0.944...
   EXPECT_NEAR(JaroSimilarity("martha", "marhta"), 0.9444, 1e-3);
+}
+
+// JaroSimilarity with its match flags in two std::vector<bool> per
+// call, as it was before the flags moved to a stack buffer: the
+// reference the kernel must equal bit for bit.
+double VectorFlagsJaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const int match_window =
+      std::max(0, static_cast<int>(std::max(a.size(), b.size())) / 2 - 1);
+  std::vector<bool> a_matched(a.size(), false);
+  std::vector<bool> b_matched(b.size(), false);
+  int matches = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    size_t lo = i > static_cast<size_t>(match_window)
+                    ? i - static_cast<size_t>(match_window)
+                    : 0;
+    size_t hi = std::min(b.size(), i + static_cast<size_t>(match_window) + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (b_matched[j] || a[i] != b[j]) continue;
+      a_matched[i] = true;
+      b_matched[j] = true;
+      ++matches;
+      break;
+    }
+  }
+  if (matches == 0) return 0.0;
+  int transpositions = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  double m = matches;
+  return (m / static_cast<double>(a.size()) +
+          m / static_cast<double>(b.size()) +
+          (m - transpositions / 2.0) / m) /
+         3.0;
+}
+
+TEST(JaroTest, StackFlagsMatchVectorFlagsBitForBit) {
+  std::vector<std::pair<std::string, std::string>> cases;
+  Rng rng(64);
+  auto random_string = [&rng](int length, int alphabet) {
+    std::string text;
+    for (int i = 0; i < length; ++i) {
+      text.push_back(static_cast<char>('a' + rng.UniformInt(0, alphabet - 1)));
+    }
+    return text;
+  };
+  // Every length 0..130 over 2-4 letters, so matches and transpositions
+  // are common, on both sides of the 64-byte stack buffer.
+  for (int length = 0; length <= 130; ++length) {
+    for (int alphabet = 2; alphabet <= 4; ++alphabet) {
+      for (int k = 0; k < 3; ++k) {
+        std::string a = random_string(length, alphabet);
+        std::string b = random_string(rng.UniformInt(0, 130), alphabet);
+        cases.emplace_back(a, b);
+        cases.emplace_back(b, a);
+        cases.emplace_back(a, a);
+      }
+    }
+  }
+  // The tokens the models compare, each against a seeded sample.
+  for (const char* code : {"FZ", "AB", "DA", "IA"}) {
+    data::Dataset dataset = data::MakeBenchmark(code);
+    std::vector<std::string> tokens;
+    for (const data::Table* table : {&dataset.left, &dataset.right}) {
+      for (int r = 0; r < table->size(); ++r) {
+        for (const std::string& value : table->record(r).values) {
+          for (std::string& token : Tokenize(value)) {
+            tokens.push_back(std::move(token));
+          }
+        }
+      }
+    }
+    tokens = UniqueTokens(tokens);
+    ASSERT_GT(tokens.size(), 1u) << code;
+    for (const std::string& token : tokens) {
+      for (int k = 0; k < 4; ++k) {
+        cases.emplace_back(token, tokens[rng.UniformUint64(tokens.size())]);
+      }
+    }
+  }
+  for (const auto& [a, b] : cases) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(JaroSimilarity(a, b)),
+              std::bit_cast<uint64_t>(VectorFlagsJaro(a, b)))
+        << "'" << a << "' vs '" << b << "'";
+  }
 }
 
 TEST(JaroWinklerTest, PrefixBoost) {
