@@ -7,7 +7,8 @@
 #      scoring keeps string_views into caller-owned records);
 #   3. thread sanitizer build (CERTA_SANITIZE=thread) + the concurrency
 #      suite (thread pool, sharded metrics, cache shards under pooled
-#      writers);
+#      writers) and the service-net suite (the socket server's event
+#      loop against its runner threads);
 #   4. the perf suite (SIMD kernel differentials + scaling determinism):
 #      portable build with the dispatched kernels, the same build with
 #      CERTA_KERNELS=scalar forcing the reference kernels, a
@@ -98,6 +99,10 @@ cmake --build "${REPO_ROOT}/build-ci-tsan" -j "${JOBS}"
 echo "== Sanitized concurrency suite (TSan) =="
 ctest --test-dir "${REPO_ROOT}/build-ci-tsan" --output-on-failure \
   -L concurrency
+
+echo "== Sanitized service-net suite (TSan) =="
+ctest --test-dir "${REPO_ROOT}/build-ci-tsan" --output-on-failure \
+  -L service-net
 
 echo "== Sanitized store suite (TSan) =="
 ctest --test-dir "${REPO_ROOT}/build-ci-tsan" --output-on-failure -L store

@@ -242,9 +242,10 @@ void ScoringEngine::ScoreMisses(const std::vector<RecordPair>& pairs,
     }
   };
 
+  // Inside another engine's chunk: inline, under its memo (see class).
   util::ThreadPool* pool = options_.pool;
   if (pool == nullptr || pool->size() < 2 ||
-      pairs.size() < kMinParallelBatch) {
+      pairs.size() < kMinParallelBatch || ScoreMemo::Installed() != nullptr) {
     score_range(0, pairs.size());
   } else {
     if (metric_.pool_chunks != nullptr) {

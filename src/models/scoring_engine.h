@@ -141,10 +141,11 @@ class PredictionCache {
 /// first model call and lends each to one chunk at a time, so at most
 /// pool size + 1 exist; they live as long as the engine, which
 /// CertaExplainer makes per Explain. An engine called from inside
-/// another engine's chunk (an explainer's engine over the harness's or
-/// the CLI's) uses the memo that chunk installed on the calling thread;
-/// chunks it hands to a pool of its own run with its own memos, which
-/// live as long as it does.
+/// another engine's chunk (the harness's or the CLI's engine under an
+/// explainer's) scores its misses inline on the calling thread, under
+/// the memo that chunk installed, and leaves its own pool alone: that
+/// chunk already owns its thread's share of the work, and pool workers
+/// would lease this engine's memos, which live as long as it does.
 ///
 /// Every returned score is bit-identical to base->Score(u, v): the
 /// cache only ever stores values the deterministic base model produced,

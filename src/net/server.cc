@@ -275,8 +275,7 @@ void NetServer::Loop() {
                  conns_.end());
   }
 
-  BeginDrain(external_stop ? options_.drain_on_stop_flag
-                           : drain_on_stop_.load());
+  BeginDrain(!external_stop && drain_on_stop_.load());
 }
 
 void NetServer::AcceptNew() {

@@ -60,12 +60,10 @@ struct NetServerOptions {
   std::vector<std::string> peer_job_roots;
   /// External stop flag polled every loop iteration (the CLI passes
   /// service::ShutdownFlag() so SIGTERM starts the drain). May be null.
+  /// When it ends the loop, running jobs park resumable and the loop
+  /// exits promptly (the signal semantics of the stdin serve loop);
+  /// Stop(drain) decides for itself.
   const std::atomic<bool>* stop_flag = nullptr;
-  /// Drain policy when stop_flag ends the loop: false parks running
-  /// jobs resumable and exits promptly (the signal semantics of the
-  /// stdin serve loop); true finishes them first. Stop(drain) always
-  /// decides for itself.
-  bool drain_on_stop_flag = false;
   /// Streaming coordinator (not owned; nullptr = streaming off — the
   /// v2 verbs answer `streaming_unavailable`). The event loop absorbs
   /// sibling streams through it each beat and fans invalidation events

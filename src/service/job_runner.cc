@@ -369,7 +369,7 @@ JobRunner::JobRunner(JobRunnerOptions options)
   if (!options_.store_dir.empty()) {
     auto store = std::make_unique<persist::ScoreStore>();
     persist::ScoreStore::Options store_options;
-    store_options.exclusive_lock = options_.store_exclusive_lock;
+    store_options.exclusive_lock = true;
     store_options.stream_slot = options_.store_stream_slot;
     if (store->Open(options_.store_dir, store_options)) {
       store->BindMetrics(options_.metrics);
@@ -440,9 +440,13 @@ JobRunner::SubmitResult JobRunner::Submit(JobSpec spec) {
     }
   }
   if (spec.id.empty()) {
-    char id[32];
-    std::snprintf(id, sizeof(id), "job-%04d", next_job_number_++);
-    spec.id = options_.job_id_prefix + id;
+    // Skip dirs an earlier process left (the startup sweep re-admits
+    // them): a new job must never replay another job's journal.
+    do {
+      char id[32];
+      std::snprintf(id, sizeof(id), "job-%04d", next_job_number_++);
+      spec.id = options_.job_id_prefix + id;
+    } while (util::PathExists(options_.job_root + "/" + spec.id));
   }
   // Durable admission: a spec-only checkpoint written before the accept
   // response means even a SIGKILL of this process loses nothing — the
@@ -754,8 +758,7 @@ bool JobRunner::Cancel(const std::string& job_id, std::string* reason) {
   return false;
 }
 
-int JobRunner::AdoptParked(const std::string& partition_root,
-                           std::vector<std::string>* adopted_ids) {
+int JobRunner::AdoptParked(const std::string& partition_root) {
   namespace fs = std::filesystem;
   struct Candidate {
     JobSpec spec;
@@ -811,7 +814,6 @@ int JobRunner::AdoptParked(const std::string& partition_root,
       ++counters_.accepted;
       if (metric_.submitted != nullptr) metric_.submitted->Increment();
       if (metric_.accepted != nullptr) metric_.accepted->Increment();
-      if (adopted_ids != nullptr) adopted_ids->push_back(candidate.spec.id);
       // Rewrite the durable state before the job enters the queue:
       // sibling workers answer status polls from this checkpoint, and a
       // re-admitted job must read as active ("queued"), not still

@@ -180,14 +180,12 @@ struct JobRunnerOptions {
   std::string stats_path;
   /// Directory of the cross-job score store; empty = no store. The
   /// runner opens it once, shares it across workers (the store is
-  /// internally locked), and closes it (final sync) on Shutdown.
+  /// internally locked), and closes it (final sync) on Shutdown. It
+  /// holds the store's writer lock (persist::DirLock) for its lifetime,
+  /// so two processes can never attach the same store namespace; in
+  /// shared-stream mode the lock covers only this runner's stream
+  /// (".lock-w<slot>"), so fleet siblings coexist in one directory.
   std::string store_dir;
-  /// Hold a flock DirLock on store_dir for the runner's lifetime (the
-  /// serve paths set this so two serve processes can never attach the
-  /// same store namespace; see persist::DirLock). In shared-stream
-  /// mode the lock covers only this runner's stream (".lock-w<slot>"),
-  /// so fleet siblings coexist in one directory.
-  bool store_exclusive_lock = false;
   /// >= 0 opens the store in shared-stream mode with this stream slot
   /// (fleet workers pass their worker slot): the runner appends only
   /// to its own segment stream and absorbs sibling streams read-only,
@@ -312,9 +310,9 @@ class JobRunner {
   /// break the admitted-jobs-complete-or-park invariant. Jobs already
   /// queued or running under the same id are skipped. Returns the
   /// number adopted. This is both the fleet master's orphan-adoption
-  /// path and a restarted worker's own-partition resume sweep.
-  int AdoptParked(const std::string& partition_root,
-                  std::vector<std::string>* adopted_ids = nullptr);
+  /// path and every serving process's startup resume sweep of its own
+  /// partition.
+  int AdoptParked(const std::string& partition_root);
 
   /// The cross-job score store (null when options_.store_dir is empty
   /// or the directory could not be opened).

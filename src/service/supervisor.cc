@@ -232,7 +232,6 @@ bool Supervisor::SpawnWorker(int slot, std::string* error) {
     }
     WorkerLaunch launch;
     launch.slot = slot;
-    launch.master_pid = getppid();
     launch.partition_root = PartitionRoot(slot);
     // The store is deliberately NOT partitioned: every worker shares
     // one directory, each writing its own slot-named segment stream.

@@ -42,7 +42,6 @@ namespace certa::service {
 /// Everything one forked worker needs to serve its share of the fleet.
 struct WorkerLaunch {
   int slot = 0;
-  pid_t master_pid = 0;
   /// This worker's private job-dir partition: <job_root>/w<slot>.
   std::string partition_root;
   /// The fleet's SHARED score-store directory ("" = no store). Unlike

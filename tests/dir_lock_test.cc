@@ -3,8 +3,9 @@
 // namespace. Covers in-process conflicts, real two-process contention
 // over fork(), automatic release on holder death (the property the
 // fleet's crash recovery leans on — a SIGKILL'd worker must not wedge
-// its partition), the ScoreStore's opt-in exclusive_lock, and the CLI
-// refusing to start a second serve on a busy job root.
+// its partition), the ScoreStore's opt-in exclusive_lock, the CLI
+// refusing to start a second serve on a busy job root, and the CLI's
+// single-job runs leaving a store a live serve holds untouched.
 
 #include "persist/dir_lock.h"
 
@@ -14,10 +15,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "persist/checkpoint.h"
 #include "persist/score_store.h"
 
 #ifndef CERTA_CLI_PATH
@@ -217,6 +220,121 @@ TEST(DirLockTest, ServeCliRefusesBusyJobRoot) {
   const int first_status = ::pclose(serve);
   ASSERT_TRUE(WIFEXITED(first_status));
   EXPECT_EQ(WEXITSTATUS(first_status), 0);
+  fs::remove_all(root);
+}
+
+/// Runs `certa <args>`; captures stdout+stderr, returns the exit code.
+int RunCli(const std::string& args, std::string* output) {
+  FILE* pipe =
+      ::popen((std::string(CERTA_CLI_PATH) + " " + args + " 2>&1").c_str(),
+              "r");
+  if (pipe == nullptr) return -1;
+  output->clear();
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    output->append(buffer, n);
+  }
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string ReadAll(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Every file under `dir`, by relative path.
+std::map<std::string, std::string> Snapshot(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[fs::relative(entry.path(), dir).string()] = ReadAll(entry.path());
+    }
+  }
+  return files;
+}
+
+TEST(DirLockTest, SingleJobRunsLeaveAStoreALiveServeHoldsUntouched) {
+  const fs::path root = Scratch("busy_store");
+  const fs::path store = root / "store";
+
+  // A serve holding the store: stdin held open through a pipe so it
+  // keeps running, and one job line so the store has segments to append
+  // to or cut.
+  FILE* serve = ::popen((std::string(CERTA_CLI_PATH) + " serve --job-root " +
+                         (root / "jobs").string() + " --store-dir " +
+                         store.string() + " > /dev/null 2>&1")
+                            .c_str(),
+                        "w");
+  ASSERT_NE(serve, nullptr);
+  std::fputs("id=seed dataset=FZ model=svm pair=1 triangles=20\n", serve);
+  std::fflush(serve);
+  const std::string seed_checkpoint =
+      CheckpointPathInDir((root / "jobs" / "seed").string());
+  bool seeded = false;
+  for (int i = 0; i < 2400 && !seeded; ++i) {
+    JobCheckpoint checkpoint;
+    seeded = LoadCheckpoint(seed_checkpoint, &checkpoint) &&
+             checkpoint.state == "complete";
+    if (!seeded) usleep(25 * 1000);
+  }
+  ASSERT_TRUE(seeded);
+  const std::map<std::string, std::string> before = Snapshot(store);
+  ASSERT_GT(before.size(), 1u);
+
+  const std::string request =
+      "--dataset FZ --model svm --pair 0 --triangles 20";
+  std::string output;
+  EXPECT_EQ(RunCli("explain " + request + " --job-dir " +
+                       (root / "j1").string() + " --store-dir " +
+                       store.string(),
+                   &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("cannot open score store"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("running without"), std::string::npos) << output;
+
+  // `serve --resume` of a dir holding only a spec-only queued
+  // checkpoint (what durable admission leaves before a job starts).
+  JobCheckpoint queued;
+  queued.request.id = "j2";
+  queued.request.dataset = "FZ";
+  queued.request.model = "svm";
+  queued.request.pair_index = 0;
+  queued.request.triangles = 20;
+  queued.state = "queued";
+  fs::create_directories(root / "j2");
+  ASSERT_TRUE(
+      SaveCheckpoint(CheckpointPathInDir((root / "j2").string()), queued));
+  EXPECT_EQ(RunCli("serve --resume " + (root / "j2").string() +
+                       " --store-dir " + store.string(),
+                   &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("cannot open score store"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("running without"), std::string::npos) << output;
+
+  EXPECT_TRUE(Snapshot(store) == before)
+      << "a single-job run wrote to a store a live serve holds";
+
+  // Both results equal a store-less run's.
+  ASSERT_EQ(RunCli("explain " + request + " --job-dir " +
+                       (root / "j3").string(),
+                   &output),
+            0)
+      << output;
+  const std::string reference = ReadAll(root / "j3" / "result.json");
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(ReadAll(root / "j1" / "result.json"), reference);
+  EXPECT_EQ(ReadAll(root / "j2" / "result.json"), reference);
+
+  const int serve_status = ::pclose(serve);
+  ASSERT_TRUE(WIFEXITED(serve_status));
+  EXPECT_EQ(WEXITSTATUS(serve_status), 0);
   fs::remove_all(root);
 }
 

@@ -13,7 +13,9 @@
 //     streak, not the connection's lifetime, so a watching client
 //     rides through more rolling restarts than its budget;
 //   - stats fan-in: a worker SIGKILLed mid-`STATS` write must not
-//     wedge the master or leak a torn fragment into the aggregate.
+//     wedge the master or leak a torn fragment into the aggregate;
+//   - per-worker traces: with `--trace-out`, each worker writes
+//     `<job-root>/w<slot>/trace.json` with a span for every job it ran.
 //
 // The randomized kill-storm over a shared store is in
 // fleet_chaos_test.cc; the in-process store semantics are in
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +186,49 @@ std::vector<pid_t> CurrentWorkerPids(const std::string& text, int workers) {
   return pids;
 }
 
+/// Every worker of a drained fleet wrote a parseable
+/// `<job-root>/w<slot>/trace.json`, holding a `job:<id>` span for each
+/// job a DONE line names whose dir is in that worker's partition.
+void ExpectWorkerTracesCoverDoneJobs(const fs::path& job_root,
+                                     const std::string& log_text,
+                                     int workers) {
+  std::vector<std::set<std::string>> spans(static_cast<size_t>(workers));
+  for (int slot = 0; slot < workers; ++slot) {
+    const fs::path path =
+        job_root / ("w" + std::to_string(slot)) / "trace.json";
+    JsonValue trace;
+    std::string error;
+    ASSERT_TRUE(JsonValue::Parse(ReadAll(path), &trace, &error))
+        << path << ": " << error;
+    const JsonValue* events = trace.Find("traceEvents");
+    ASSERT_TRUE(events != nullptr && events->is_array()) << path;
+    for (const JsonValue& event : events->array_items()) {
+      const JsonValue* name = event.Find("name");
+      if (name != nullptr && name->is_string()) {
+        spans[static_cast<size_t>(slot)].insert(name->string_value());
+      }
+    }
+  }
+  int jobs = 0;
+  for (size_t at = log_text.find("DONE "); at != std::string::npos;
+       at = log_text.find("DONE ", at + 5)) {
+    if (at > 0 && log_text[at - 1] != '\n') continue;
+    const std::string id =
+        log_text.substr(at + 5, log_text.find(' ', at + 5) - at - 5);
+    int owner = -1;
+    for (int slot = 0; slot < workers; ++slot) {
+      if (fs::exists(job_root / ("w" + std::to_string(slot)) / id)) {
+        owner = slot;
+      }
+    }
+    ASSERT_GE(owner, 0) << "no partition holds job " << id;
+    EXPECT_EQ(spans[static_cast<size_t>(owner)].count("job:" + id), 1u)
+        << "worker " << owner << "'s trace has no span for job " << id;
+    ++jobs;
+  }
+  EXPECT_GT(jobs, 0) << log_text;
+}
+
 TEST(FleetStoreTest, SiblingsReuseEachOthersScoresAndWarmFleetPaysNothing) {
   const fs::path root = Scratch("reuse");
   const fs::path log = root / "server.log";
@@ -193,7 +239,8 @@ TEST(FleetStoreTest, SiblingsReuseEachOthersScoresAndWarmFleetPaysNothing) {
   pid_t master = SpawnFleet(
       {"--listen", "0", "--job-root", (root / "jobs").string(), "--workers",
        "2", "--store-dir", store_dir, "--stats-interval-ms", "50",
-       "--checkpoint-every", "16"},
+       "--checkpoint-every", "16", "--trace-out",
+       (root / "trace.json").string()},
       log);
   ASSERT_GT(master, 0);
   const int port = WaitForPort(log);
@@ -229,6 +276,7 @@ TEST(FleetStoreTest, SiblingsReuseEachOthersScoresAndWarmFleetPaysNothing) {
       << ReadAll(log);
   EXPECT_GT(FleetStat(output, "store", "entries"), 0) << output;
   EXPECT_EQ(StopServer(master, SIGTERM), 0) << ReadAll(log);
+  ExpectWorkerTracesCoverDoneJobs(root / "jobs", ReadAll(log), 2);
 
   // A brand-new fleet (fresh job root, fresh processes) over the SAME
   // store directory: every score the first fleet paid is warm, so the

@@ -2,9 +2,10 @@
 // service-net): `certa serve --listen` on one side, `certa_client` on
 // the other. Covers the ISSUE's acceptance criteria directly — many
 // concurrent clients whose served results are byte-identical to direct
-// `certa explain --json`, and SIGTERM under load exiting with code 3
+// `certa explain --json`, SIGTERM under load exiting with code 3
 // and every admitted job dir either complete or parked resumable (then
-// actually resumed to completion).
+// actually resumed to completion), and a restarted single process
+// finishing the jobs its predecessor acked without any `--resume`.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -298,6 +299,99 @@ TEST(NetE2eTest, SigtermUnderLoadLeavesEveryJobDirResumable) {
       << direct;
   EXPECT_EQ(Chomp(ReadAll(fs::path(job_root) / "big" / "result.json")),
             Chomp(direct));
+}
+
+/// Leaves what durable admission writes before a job starts: a job dir
+/// holding only a spec-only `queued` checkpoint of an FZ/svm request.
+void WriteQueuedJob(const fs::path& job_dir, int pair) {
+  persist::JobCheckpoint checkpoint;
+  checkpoint.request.id = job_dir.filename().string();
+  checkpoint.request.dataset = "FZ";
+  checkpoint.request.model = "svm";
+  checkpoint.request.pair_index = pair;
+  checkpoint.request.triangles = 20;
+  checkpoint.state = "queued";
+  fs::create_directories(job_dir);
+  ASSERT_TRUE(persist::SaveCheckpoint(
+      persist::CheckpointPathInDir(job_dir.string()), checkpoint));
+}
+
+std::string DirectExplainJson(int pair) {
+  std::string direct;
+  EXPECT_EQ(RunShell(std::string(CERTA_CLI_PATH) +
+                         " explain --dataset FZ --model svm --pair " +
+                         std::to_string(pair) + " --triangles 20 --json",
+                     &direct),
+            0)
+      << direct;
+  return Chomp(direct);
+}
+
+TEST(NetE2eTest, ListenFinishesJobsAckedBeforeARestart) {
+  const fs::path root = Scratch("sweep_listen");
+  const fs::path log = root / "server.log";
+  const fs::path job_root = root / "jobs";
+  WriteQueuedJob(job_root / "acked", 0);
+
+  pid_t server = SpawnServer({"--listen", "0", "--job-root",
+                              job_root.string()},
+                             log);
+  ASSERT_GT(server, 0);
+  // Nothing between here and StopServer may return early: a failed
+  // poll must still stop the server.
+  const int port = WaitForPort(log);
+  std::string status;
+  bool complete = false;
+  for (int attempt = 0; port > 0 && attempt < 600 && !complete; ++attempt) {
+    if (RunShell(ClientCmd(port, "status --job acked"), &status) != 0) break;
+    complete = status.find("\"state\":\"complete\"") != std::string::npos;
+    if (!complete) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  std::string result;
+  const int result_code =
+      port > 0 ? RunShell(ClientCmd(port, "result --job acked"), &result) : -1;
+  const int exit_code = StopServer(server, SIGTERM);
+  const std::string text = ReadAll(log);
+
+  ASSERT_GT(port, 0) << text;
+  EXPECT_TRUE(complete) << status << "\n" << text;
+  ASSERT_EQ(result_code, 0) << result;
+  const std::string direct = DirectExplainJson(0);
+  EXPECT_NE(result.find("\"result\":" + direct), std::string::npos)
+      << result << "\n" << direct;
+  EXPECT_EQ(Chomp(ReadAll(job_root / "acked" / "result.json")), direct);
+  EXPECT_EQ(exit_code, 3) << text;
+  EXPECT_NE(text.find("DONE acked complete"), std::string::npos) << text;
+  fs::remove_all(root);
+}
+
+TEST(NetE2eTest, StdinServeFinishesJobsAckedBeforeARestart) {
+  const fs::path root = Scratch("sweep_stdin");
+  const fs::path job_root = root / "jobs";
+  WriteQueuedJob(job_root / "job-0001", 0);
+  // A new job line without an id must not take the acked job's id.
+  const fs::path jobs_file = root / "jobs.txt";
+  {
+    std::ofstream jobs(jobs_file);
+    jobs << "dataset=FZ model=svm pair=1 triangles=20\n";
+  }
+
+  std::string output;
+  ASSERT_EQ(RunShell(std::string(CERTA_CLI_PATH) + " serve --job-root " +
+                         job_root.string() + " --jobs " + jobs_file.string(),
+                     &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("ACCEPT job-0002"), std::string::npos) << output;
+  EXPECT_NE(output.find("DONE job-0001 complete"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("DONE job-0002 complete"), std::string::npos)
+      << output;
+  EXPECT_EQ(Chomp(ReadAll(job_root / "job-0001" / "result.json")),
+            DirectExplainJson(0));
+  EXPECT_EQ(Chomp(ReadAll(job_root / "job-0002" / "result.json")),
+            DirectExplainJson(1));
+  fs::remove_all(root);
 }
 
 }  // namespace

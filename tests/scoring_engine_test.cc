@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -577,6 +580,73 @@ TEST(ScoringEngineTest, PooledTryScoreBatchIsolatesFailuresLikeSerial) {
   EXPECT_EQ(pooled_stats.misses, serial_stats.misses);
   EXPECT_EQ(pooled_stats.evictions, serial_stats.evictions);
   EXPECT_EQ(pooled_stats.store_hits, serial_stats.store_hits);
+}
+
+/// Records the memo installed on the calling thread at every ScoreBatch.
+class MemoRecordingMatcher : public models::Matcher {
+ public:
+  double Score(const data::Record&, const data::Record&) const override {
+    return 0.5;
+  }
+  std::vector<double> ScoreBatch(
+      std::span<const RecordPair> pairs) const override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      installed_.push_back(models::ScoreMemo::Installed());
+    }
+    // Slow enough that pool workers, not only the draining caller,
+    // would pick up chunks if the batch were fanned out.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return std::vector<double>(pairs.size(), 0.5);
+  }
+  std::string name() const override { return "MemoRecording"; }
+
+  std::vector<const models::ScoreMemo*> installed() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return installed_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::vector<const models::ScoreMemo*> installed_;
+};
+
+TEST(ScoringEngineTest, EngineInsideAnotherEnginesChunkUsesThatChunksMemo) {
+  // The harness's layout: a pooled engine over the model, and a
+  // per-explanation engine over it whose chunks install their memos.
+  // The outer engine must score those chunks' misses inline under the
+  // inner memo, not fan them out to pool workers that would lease its
+  // own long-lived memos.
+  MemoRecordingMatcher base;
+  util::ThreadPool pool(4);
+  ScoringEngine::Options outer_options;
+  outer_options.pool = &pool;
+  ScoringEngine outer(&base, outer_options);
+  ScoringEngine inner(&outer);
+
+  std::vector<data::Record> lefts;
+  std::vector<data::Record> rights;
+  for (int i = 0; i < 256; ++i) {
+    lefts.push_back(MakeRecord(i, {std::to_string(i)}));
+    rights.push_back(MakeRecord(i, {std::to_string(1000 + i)}));
+  }
+  std::vector<RecordPair> pairs;
+  // One pair first, below any fan-out size: its base call runs on this
+  // thread under the memo the inner engine installs, which names it.
+  pairs.push_back({&lefts[0], &rights[0]});
+  inner.ScoreBatch(pairs);
+  ASSERT_EQ(base.installed().size(), 1u);
+  const models::ScoreMemo* inner_memo = base.installed().front();
+  ASSERT_NE(inner_memo, nullptr);
+
+  pairs.clear();
+  for (int i = 1; i < 256; ++i) pairs.push_back({&lefts[i], &rights[i]});
+  EXPECT_EQ(inner.ScoreBatch(pairs), std::vector<double>(255, 0.5));
+  const std::vector<const models::ScoreMemo*> installed = base.installed();
+  ASSERT_GT(installed.size(), 1u);
+  for (size_t i = 0; i < installed.size(); ++i) {
+    EXPECT_EQ(installed[i], inner_memo) << "base call " << i;
+  }
 }
 
 // ScoreBatch must agree bit-for-bit with per-pair Score for every

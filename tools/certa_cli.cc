@@ -21,16 +21,19 @@
 //       Aggregate CERTA explanations over the test split: mean
 //       saliency per predicted class + representative pairs.
 //   certa serve [--job-root DIR] [--queue N] [--workers K] ...
-//       Durable job service: reads job lines from stdin, answers
-//       ACCEPT/REJECT per admission control, runs each job crash-safely
-//       in its own job dir (see docs/OPERATIONS.md).
+//       Durable job service: resumes the job root's unfinished jobs,
+//       reads job lines from stdin, answers ACCEPT/REJECT per admission
+//       control, runs each job crash-safely in its own job dir (see
+//       docs/OPERATIONS.md).
 //   certa serve --listen PORT [--host ADDR] [--max-connections N] ...
 //       Same durable service behind a TCP socket speaking the
 //       line-delimited JSON protocol of docs/SERVICE.md (submit /
 //       status / result / cancel / stats, streamed progress events).
-//       Pair with tools/certa_client.
+//       Pair with tools/certa_client. With --workers K >= 2, a fleet of
+//       K processes, each set up like a single one.
 //   certa serve --resume JOBDIR
-//       Resume a single interrupted/parked job from its directory.
+//       Resume a single interrupted/parked job from its directory (the
+//       same single-job run as `explain --job-dir`).
 //
 // Every explanation entry point — `explain` flags, serve job lines,
 // and the socket protocol — parses into the same versioned
@@ -139,16 +142,19 @@ int Usage() {
          "                [--stall-timeout-ms N] [--jobs FILE]\n"
          "                [--stats-every N] [--metrics-out FILE]\n"
          "                [--trace-out FILE] [--store-dir DIR] [--no-index]\n"
+         "                (first resumes the job root's unfinished jobs)\n"
          "  certa serve   --listen PORT [--host ADDR]\n"
          "                [--max-connections N] [--stream-dir DIR]\n"
          "                [...same serve flags]\n"
          "                (--workers K >= 2 forks a fleet; --store-dir and\n"
          "                 --stream-dir are each one directory shared by\n"
-         "                 every worker; --stream-dir enables the v2\n"
-         "                 streaming verbs: upsert / remove / match /\n"
-         "                 invalidations)\n"
+         "                 every worker; worker k writes its metrics and\n"
+         "                 trace into <job-root>/wk; --stream-dir enables\n"
+         "                 the v2 streaming verbs: upsert / remove /\n"
+         "                 match / invalidations)\n"
          "  certa serve   --resume JOBDIR [--checkpoint-every N]\n"
-         "                [--store-dir DIR]\n"
+         "                [--store-dir DIR] [--metrics-out FILE]\n"
+         "                [--trace-out FILE]\n"
          "durable explain: explain ... --job-dir DIR [--checkpoint-every N]\n"
          "                 [--store-dir DIR] (cross-job score store)\n"
          "models: deeper | deepmatcher | ditto | svm\n"
@@ -240,21 +246,69 @@ struct ObsSink {
   }
 };
 
-/// Opens the cross-job prediction store named by --store-dir. Returns
-/// nullptr when the flag is absent or the directory cannot be opened;
-/// an open failure warns and the command runs without the store — the
-/// result is byte-identical either way, only the model-call count
-/// changes (docs/PERSISTENCE.md).
-std::unique_ptr<certa::persist::ScoreStore> OpenStoreFromArgs(
-    const Args& args) {
-  if (!args.Has("store-dir")) return nullptr;
-  auto store = std::make_unique<certa::persist::ScoreStore>();
-  if (!store->Open(args.Get("store-dir", ""))) {
-    std::cerr << "warning: cannot open score store in "
-              << args.Get("store-dir", "") << "; running without it\n";
-    return nullptr;
+/// The one single-job durable run, behind `explain --job-dir` and
+/// `serve --resume`: scores are write-ahead journaled and progress
+/// checkpointed in `job_dir`, SIGINT/SIGTERM parks the job, and
+/// --metrics-out/--trace-out record it. --store-dir is opened with the
+/// writer lock, so a store another process is writing (a live serve or
+/// fleet) is left untouched: that is a warning, and the job runs
+/// without the store — the result is byte-identical either way, only
+/// the model-call count changes (docs/PERSISTENCE.md). Exit code 0 =
+/// complete, 1 = failed, 3 = interrupted and resumable.
+int RunSingleJob(const Args& args, const certa::service::JobSpec& spec,
+                 const std::string& job_dir) {
+  certa::service::DurableRunOptions run_options;
+  if (!ParseIntFlag(args, "checkpoint-every", 256, 1,
+                    &run_options.checkpoint_every)) {
+    return 2;
   }
-  return store;
+  ObsSink obs;
+  obs.InitFromArgs(args);
+  run_options.cancel = certa::service::ShutdownFlag();
+  run_options.cancelled_state = "interrupted";
+  run_options.metrics = obs.metrics.get();
+  run_options.trace = obs.trace.get();
+  run_options.use_candidate_index = !args.Has("no-index");
+  certa::persist::ScoreStore store;
+  if (args.Has("store-dir")) {
+    certa::persist::ScoreStore::Options store_options;
+    store_options.exclusive_lock = true;
+    if (store.Open(args.Get("store-dir", ""), store_options)) {
+      store.BindMetrics(obs.metrics.get());
+      run_options.store = &store;
+    } else {
+      std::cerr << "warning: cannot open score store in "
+                << args.Get("store-dir", "") << " (" << store.open_error()
+                << "); running without it\n";
+    }
+  }
+  const certa::service::JobOutcome outcome =
+      certa::service::RunDurableExplain(spec, job_dir, run_options);
+  if (run_options.store != nullptr) store.Sync();
+  if (!obs.Flush()) return 1;
+  if (outcome.state == certa::service::JobState::kFailed) {
+    std::cerr << "error: " << outcome.error << "\n";
+    return 1;
+  }
+  if (outcome.state == certa::service::JobState::kParked) {
+    std::cerr << "interrupted: journal + checkpoint flushed in "
+              << outcome.job_dir << "; re-run the same command to resume\n";
+    return certa::service::kInterruptedExitCode;
+  }
+  if (args.Has("json")) {
+    std::cout << outcome.result_json << "\n";
+    return 0;
+  }
+  std::cout << "durable explain complete ("
+            << (outcome.resumed ? "resumed: " : "fresh run: ")
+            << outcome.replayed_scores << " scores replayed, "
+            << outcome.fresh_scores << " fresh";
+  if (run_options.store != nullptr) {
+    std::cout << ", " << outcome.store_hits << " store hits";
+  }
+  std::cout << "); result at "
+            << certa::persist::ResultPathInDir(outcome.job_dir) << "\n";
+  return 0;
 }
 
 bool ParseModel(const std::string& name, ModelKind* kind) {
@@ -264,29 +318,6 @@ bool ParseModel(const std::string& name, ModelKind* kind) {
   else if (lowered == "ditto") *kind = ModelKind::kDitto;
   else if (lowered == "svm") *kind = ModelKind::kSvm;
   else return false;
-  return true;
-}
-
-bool LoadData(const Args& args, Dataset* dataset) {
-  std::string code = args.Get("dataset", "AB");
-  if (args.Has("data")) {
-    if (!certa::data::LoadDatasetDirectory(args.Get("data", ""), code,
-                                           dataset)) {
-      std::cerr << "error: cannot load dataset directory "
-                << args.Get("data", "") << "\n";
-      return false;
-    }
-    return true;
-  }
-  bool known = false;
-  for (const std::string& candidate : certa::data::BenchmarkCodes()) {
-    if (candidate == code) known = true;
-  }
-  if (!known) {
-    std::cerr << "error: unknown dataset code " << code << "\n";
-    return false;
-  }
-  *dataset = certa::data::MakeBenchmark(code);
   return true;
 }
 
@@ -322,8 +353,8 @@ bool BuildRequestFromArgs(const Args& args,
   return true;
 }
 
-/// LoadData for the request path: same lookup, keyed off the parsed
-/// request instead of raw flags.
+/// Loads the request's dataset: a DeepMatcher-format directory when
+/// data_dir is set, else the synthetic benchmark named by its code.
 bool LoadDataForRequest(const certa::api::ExplainRequest& request,
                         Dataset* dataset) {
   if (!request.data_dir.empty()) {
@@ -345,6 +376,15 @@ bool LoadDataForRequest(const certa::api::ExplainRequest& request,
   }
   *dataset = certa::data::MakeBenchmark(request.dataset);
   return true;
+}
+
+/// LoadDataForRequest for the subcommands without a request: --dataset
+/// (default AB) and --data DIR.
+bool LoadData(const Args& args, Dataset* dataset) {
+  certa::api::ExplainRequest request;
+  request.dataset = args.Get("dataset", "AB");
+  request.data_dir = args.Get("data", "");
+  return LoadDataForRequest(request, dataset);
 }
 
 int CmdDatasets() {
@@ -408,62 +448,21 @@ int CmdExplain(const Args& args) {
               << dataset.test.size() << " pairs)\n";
     return 1;
   }
-  ObsSink obs;
-  obs.InitFromArgs(args);
   if (args.Has("job-dir")) {
-    // Durable path: scores are write-ahead journaled and progress
-    // checkpointed inside --job-dir. Re-running the same command after
-    // a crash (or ^C) resumes without re-paying model calls and yields
-    // a bit-identical result.
+    // Durable path: re-running the same command after a crash (or ^C)
+    // resumes without re-paying model calls and yields a bit-identical
+    // result.
     if (args.Has("model-file")) {
       std::cerr << "error: --job-dir resumes by retraining --model NAME "
                    "deterministically; --model-file is not supported\n";
       return 1;
     }
-    certa::service::InstallShutdownHandlers();
     certa::service::JobSpec spec = request;
     spec.id = "cli";
-    certa::service::DurableRunOptions run_options;
-    if (!ParseIntFlag(args, "checkpoint-every", 256, 1,
-                      &run_options.checkpoint_every)) {
-      return 2;
-    }
-    run_options.cancel = certa::service::ShutdownFlag();
-    run_options.cancelled_state = "interrupted";
-    run_options.metrics = obs.metrics.get();
-    run_options.trace = obs.trace.get();
-    std::unique_ptr<certa::persist::ScoreStore> store =
-        OpenStoreFromArgs(args);
-    run_options.store = store.get();
-    run_options.use_candidate_index = !args.Has("no-index");
-    certa::service::JobOutcome outcome = certa::service::RunDurableExplain(
-        spec, args.Get("job-dir", ""), run_options);
-    if (store != nullptr) store->Sync();
-    if (!obs.Flush()) return 1;
-    if (outcome.state == certa::service::JobState::kFailed) {
-      std::cerr << "error: " << outcome.error << "\n";
-      return 1;
-    }
-    if (outcome.state == certa::service::JobState::kParked) {
-      std::cerr << "interrupted: journal + checkpoint flushed in "
-                << outcome.job_dir << "; re-run the same command to resume\n";
-      return certa::service::kInterruptedExitCode;
-    }
-    if (args.Has("json")) {
-      std::cout << outcome.result_json << "\n";
-    } else {
-      std::cout << "durable explain complete ("
-                << (outcome.resumed ? "resumed: " : "fresh run: ")
-                << outcome.replayed_scores << " scores replayed, "
-                << outcome.fresh_scores << " fresh";
-      if (store != nullptr) {
-        std::cout << ", " << outcome.store_hits << " store hits";
-      }
-      std::cout << "); result at "
-                << certa::persist::ResultPathInDir(outcome.job_dir) << "\n";
-    }
-    return 0;
+    return RunSingleJob(args, spec, args.Get("job-dir", ""));
   }
+  ObsSink obs;
+  obs.InitFromArgs(args);
   std::unique_ptr<certa::models::Matcher> model;
   if (args.Has("model-file")) {
     certa::models::ModelKind loaded_kind;
@@ -710,28 +709,248 @@ std::string WorkerStatsJson(int slot,
   return json.str();
 }
 
+/// The serve flags every serving process of one `certa serve` shares.
+struct ServeConfig {
+  /// Runner settings; `job_root` is the whole job root and `store_dir`
+  /// the whole store (SetUpServeRunner narrows them per process).
+  certa::service::JobRunnerOptions runner;
+  std::string host = "127.0.0.1";
+  int port = 0;
+  int max_connections = 64;
+  int max_write_buffer = 1 << 20;
+  std::string stream_dir;
+  /// Cadence of a fleet worker's STATS pushes to its master.
+  long long stats_interval_ms = 200;
+};
+
+/// A serving process is a fleet worker when it has a control channel
+/// to a master. Otherwise it is a single process: a fleet of one
+/// without the fork (see SingleProcessLaunch).
+bool IsFleetWorker(const certa::service::WorkerLaunch& launch) {
+  return launch.control_fd >= 0;
+}
+
+/// The prefix of a serving process's stderr lines.
+std::string ProcessLabel(const certa::service::WorkerLaunch& launch) {
+  return IsFleetWorker(launch) ? "worker " + std::to_string(launch.slot) + ": "
+                               : "serve: ";
+}
+
+/// A single serving process's place: slot 0 (its stream slot), the job
+/// root as its partition, no control channel, and the store dir as its
+/// own single-writer namespace. Its job dirs stay `<job-root>/<id>`.
+certa::service::WorkerLaunch SingleProcessLaunch(const ServeConfig& config) {
+  certa::service::WorkerLaunch launch;
+  launch.partition_root = config.runner.job_root;
+  launch.store_dir = config.runner.store_dir;
+  launch.stream_dir = config.stream_dir;
+  launch.listen_port = config.port;
+  return launch;
+}
+
+/// The setup every serving process shares (the stdin loop, a single
+/// `--listen` process, each fleet worker): locks its partition — one
+/// serving process per job root, so a second one fails fast instead of
+/// corrupting it — and derives its runner options. The runner locks
+/// its store itself.
+bool SetUpServeRunner(const ServeConfig& config, const ObsSink& obs,
+                      const certa::service::WorkerLaunch& launch,
+                      certa::persist::DirLock* lock,
+                      certa::service::JobRunnerOptions* runner) {
+  std::string error;
+  if (!lock->Acquire(launch.partition_root, &error)) {
+    std::cerr << ProcessLabel(launch) << "job root " << launch.partition_root
+              << " is busy: " << error << "\n";
+    return false;
+  }
+  *runner = config.runner;
+  runner->job_root = launch.partition_root;
+  runner->store_dir = launch.store_dir;
+  runner->metrics = obs.metrics.get();
+  runner->trace = obs.trace.get();
+  runner->stats_path = obs.metrics_path;
+  if (IsFleetWorker(launch)) {
+    // One runner thread per worker process. The whole fleet shares the
+    // store dir; the slot picks the one segment stream this worker may
+    // write (and locks only that stream, so siblings coexist while a
+    // second fleet cannot steal a slot), and prefixes job ids so they
+    // stay unique fleet-wide although every worker numbers from 1.
+    runner->workers = 1;
+    runner->store_stream_slot = launch.slot;
+    runner->job_id_prefix = "w" + std::to_string(launch.slot) + "-";
+  }
+  return true;
+}
+
+/// The startup resume sweep: re-admits every non-terminal job of the
+/// partition — acked before a SIGKILL or a signal, or parked by a
+/// predecessor in the slot — before the process reports ready.
+void ResumeSweep(certa::service::JobRunner* runner,
+                 const certa::service::WorkerLaunch& launch) {
+  const int resumed = runner->AdoptParked(launch.partition_root);
+  if (resumed > 0) {
+    std::cerr << ProcessLabel(launch) << "resuming " << resumed
+              << " parked job(s)\n";
+  }
+}
+
+/// Ends every serving process the same way: one DONE line per job with
+/// its latest outcome (a job that parked and later completed reports
+/// complete), written at once so the lines of concurrent fleet workers
+/// never interleave; a counters line on stderr; then the metrics and
+/// trace files. Sets *parked when some job's latest outcome is parked.
+/// False when a metrics or trace write failed.
+bool FinishServe(const certa::service::JobRunner& runner, const ObsSink& obs,
+                 const std::string& label, bool* parked) {
+  std::map<std::string, certa::service::JobOutcome> latest;
+  for (const certa::service::JobOutcome& outcome : runner.outcomes()) {
+    latest[outcome.job_id] = outcome;
+  }
+  std::string done;
+  *parked = false;
+  for (const auto& [job_id, outcome] : latest) {
+    if (outcome.state == certa::service::JobState::kParked) *parked = true;
+    done += "DONE " + job_id + " " +
+            certa::service::JobStateName(outcome.state) +
+            " replayed=" + std::to_string(outcome.replayed_scores) +
+            " fresh=" + std::to_string(outcome.fresh_scores) +
+            " store=" + std::to_string(outcome.store_hits) +
+            " peer=" + std::to_string(outcome.store_peer_hits);
+    if (!outcome.error.empty()) done += " (" + outcome.error + ")";
+    done += "\n";
+  }
+  std::cout << done << std::flush;
+  const certa::service::JobRunner::Counters counters = runner.counters();
+  std::cerr << label + "submitted=" + std::to_string(counters.submitted) +
+                   " accepted=" + std::to_string(counters.accepted) +
+                   " rejected_queue_full=" +
+                   std::to_string(counters.rejected_queue_full) +
+                   " rejected_deadline=" +
+                   std::to_string(counters.rejected_deadline) +
+                   " completed=" + std::to_string(counters.completed) +
+                   " parked=" + std::to_string(counters.parked) +
+                   " failed=" + std::to_string(counters.failed) + "\n";
+  return obs.Flush();
+}
+
+/// The one serving process behind `--listen`: each fleet worker runs
+/// it in its forked child, and a single process calls it in-process as
+/// a fleet of one. It locks its partition, builds the runner, the
+/// stream coordinator and the socket server, re-admits the partition's
+/// non-terminal jobs, and only then reports ready: READY on a fleet
+/// worker's control channel, or a `LISTENING host:port` line (tests and
+/// scripts scrape the port when --listen 0 asked for an ephemeral one).
+/// A SIGINT/SIGTERM closes the listener, parks running jobs resumable,
+/// and ends the process through FinishServe. Exit code 3 when a signal
+/// stopped a single process, or when a fleet worker leaves parked work
+/// (the master exits 3 iff some worker did); else 0.
+int ServeWorker(const ServeConfig& config, const ObsSink& obs,
+                const certa::service::WorkerLaunch& launch,
+                const std::vector<std::string>& peers) {
+  const bool fleet = IsFleetWorker(launch);
+  const std::string label = ProcessLabel(launch);
+  certa::persist::DirLock partition_lock;
+  certa::service::JobRunnerOptions runner_options;
+  if (!SetUpServeRunner(config, obs, launch, &partition_lock,
+                        &runner_options)) {
+    return 1;
+  }
+
+  // --stream-dir turns on the v2 streaming verbs. The directory is
+  // shared like the score store: this process appends record ops to
+  // its own slot's WAL and absorbs its siblings' WALs read-only, so an
+  // upsert acked by any worker reaches every worker's overlays; the
+  // runner's dataset hook materializes jobs from the live overlays.
+  certa::service::StreamCoordinator coordinator;
+  if (!launch.stream_dir.empty()) {
+    certa::service::StreamCoordinator::Options stream_options;
+    stream_options.dir = launch.stream_dir;
+    stream_options.slot = launch.slot;
+    stream_options.metrics = obs.metrics.get();
+    std::string stream_error;
+    if (!coordinator.Open(stream_options, &stream_error)) {
+      std::cerr << label << "cannot open stream dir " << launch.stream_dir
+                << ": " << stream_error << "\n";
+      return 1;
+    }
+    runner_options.dataset_provider =
+        [&coordinator](const certa::api::ExplainRequest& request,
+                       certa::data::Dataset* dataset, std::string* error) {
+          return coordinator.ProvideDataset(request, dataset, error);
+        };
+  }
+
+  certa::net::NetServerOptions server_options;
+  server_options.host = config.host;
+  server_options.port = launch.listen_port;
+  server_options.max_connections = config.max_connections;
+  server_options.max_write_buffer =
+      static_cast<size_t>(config.max_write_buffer);
+  server_options.reuse_port = fleet && launch.inherited_listen_fd < 0;
+  server_options.inherited_listen_fd = launch.inherited_listen_fd;
+  server_options.peer_job_roots = peers;
+  server_options.stop_flag = certa::service::ShutdownFlag();
+  server_options.stream = coordinator.is_open() ? &coordinator : nullptr;
+  server_options.fleet_workers = fleet ? static_cast<int>(peers.size()) : 1;
+  server_options.runner = std::move(runner_options);
+  certa::net::NetServer server(std::move(server_options));
+  std::string error;
+  if (!server.Start(&error)) {
+    std::cerr << label << error << "\n";
+    return 1;
+  }
+  ResumeSweep(&server.runner(), launch);
+
+  std::unique_ptr<certa::service::WorkerControl> control;
+  if (fleet) {
+    control = std::make_unique<certa::service::WorkerControl>(
+        launch.control_fd, config.stats_interval_ms);
+    control->SendReady(server.port());
+    certa::service::WorkerControl::Hooks hooks;
+    hooks.on_adopt = [&server, label](const std::string& dir) {
+      const int adopted = server.runner().AdoptParked(dir);
+      std::cerr << label << "adopted " << adopted << " job(s) from " << dir
+                << "\n";
+    };
+    hooks.on_fleet = [&server](const std::string& fleet_json) {
+      server.SetFleetStats(fleet_json);
+    };
+    hooks.stats_provider = [&server, slot = launch.slot] {
+      return WorkerStatsJson(slot, server.runner().counters(),
+                             server.stats(), server.runner().store());
+    };
+    control->Start(std::move(hooks));
+  } else {
+    std::cout << "LISTENING " << config.host << ":" << server.port() << "\n"
+              << std::flush;
+  }
+  server.Run();
+  if (control != nullptr) control->Stop();
+  // Final checkpoint: the next process in this slot replays only WAL
+  // tails.
+  coordinator.Close();
+
+  bool parked = false;
+  if (!FinishServe(server.runner(), obs, label, &parked)) return 1;
+  const bool stopped = fleet ? parked : certa::service::ShutdownRequested();
+  return stopped ? certa::service::kInterruptedExitCode : 0;
+}
+
 /// Fleet mode: `--listen` with `--workers N` (N >= 2) forks N worker
-/// processes that each run ServeOverSocket's machinery over a private
-/// job partition (`<job-root>/w<slot>`) plus ONE shared `--store-dir`:
-/// every worker appends paid scores to its own segment stream inside
-/// the directory and absorbs its siblings' streams read-only, so a
-/// score any worker pays is a hit for the whole fleet (`peer_hits` in
-/// the stats counts the cross-worker reuse). Workers share the TCP
-/// port (SO_REUSEPORT, or one inherited listener as fallback). The
-/// master process only supervises: crash restarts with backoff,
-/// flap-capped abandonment with partition adoption, SIGHUP rolling
-/// restart, SIGTERM fleet drain, stats fan-in. See docs/SERVICE.md.
-int ServeFleet(const Args& args,
-               certa::service::JobRunnerOptions runner_options) {
+/// processes that each run ServeWorker over a private job partition
+/// (`<job-root>/w<slot>`) plus ONE shared `--store-dir`: every worker
+/// appends paid scores to its own segment stream inside the directory
+/// and absorbs its siblings' streams read-only, so a score any worker
+/// pays is a hit for the whole fleet (`peer_hits` in the stats counts
+/// the cross-worker reuse). Workers share the TCP port (SO_REUSEPORT,
+/// or one inherited listener as fallback) and write their metrics and
+/// trace files into their partitions. The master process only
+/// supervises: crash restarts with backoff, flap-capped abandonment
+/// with partition adoption, SIGHUP rolling restart, SIGTERM fleet
+/// drain, stats fan-in. See docs/SERVICE.md.
+int ServeFleet(const Args& args, ServeConfig config, const ObsSink& obs) {
   certa::service::SupervisorOptions sup;
-  sup.host = args.Get("host", "127.0.0.1");
-  int max_connections = 0;
-  int max_write_buffer = 0;
-  if (!ParseIntFlag(args, "listen", 0, 0, &sup.port) ||
-      !ParseIntFlag(args, "max-connections", 64, 1, &max_connections) ||
-      !ParseIntFlag(args, "max-write-buffer", 1 << 20, 64,
-                    &max_write_buffer) ||
-      !ParseIntFlag(args, "restart-backoff-ms", 200LL, 1LL,
+  if (!ParseIntFlag(args, "restart-backoff-ms", 200LL, 1LL,
                     &sup.restart_backoff_initial_ms) ||
       !ParseIntFlag(args, "flap-limit", 5, 1, &sup.flap_limit) ||
       !ParseIntFlag(args, "stable-after-ms", 2000LL, 1LL,
@@ -739,15 +958,18 @@ int ServeFleet(const Args& args,
       !ParseIntFlag(args, "shutdown-grace-ms", 30000LL, 100LL,
                     &sup.shutdown_grace_ms) ||
       !ParseIntFlag(args, "stats-interval-ms", 200LL, 20LL,
-                    &sup.stats_interval_ms)) {
+                    &config.stats_interval_ms)) {
     return 2;
   }
   sup.restart_backoff_max_ms =
       std::max(sup.restart_backoff_max_ms, sup.restart_backoff_initial_ms);
-  sup.workers = runner_options.workers;
-  sup.job_root = runner_options.job_root;
-  sup.store_dir = runner_options.store_dir;
-  sup.stream_dir = args.Get("stream-dir", "");
+  sup.host = config.host;
+  sup.port = config.port;
+  sup.stats_interval_ms = config.stats_interval_ms;
+  sup.workers = config.runner.workers;
+  sup.job_root = config.runner.job_root;
+  sup.store_dir = config.runner.store_dir;
+  sup.stream_dir = config.stream_dir;
   if (const char* env = std::getenv("CERTA_FLEET_NO_REUSEPORT")) {
     sup.disable_reuse_port = env[0] != '\0' && std::string_view(env) != "0";
   }
@@ -782,135 +1004,19 @@ int ServeFleet(const Args& args,
   for (int slot = 0; slot < sup.workers; ++slot) {
     partitions.push_back(sup.job_root + "/w" + std::to_string(slot));
   }
-  const std::string host = sup.host;
-  const long long stats_interval_ms = sup.stats_interval_ms;
-  const int fleet_workers = sup.workers;
-
-  auto worker_main = [&](const certa::service::WorkerLaunch& launch) -> int {
-    certa::service::JobRunnerOptions worker_runner = runner_options;
-    worker_runner.workers = 1;
-    worker_runner.job_root = launch.partition_root;
-    // The whole fleet shares launch.store_dir; this worker's slot picks
-    // the one segment stream it may write (and locks only that stream,
-    // so siblings coexist while a second fleet cannot steal a slot).
-    worker_runner.store_dir = launch.store_dir;
-    worker_runner.store_stream_slot = launch.slot;
-    worker_runner.job_id_prefix = "w" + std::to_string(launch.slot) + "-";
-    worker_runner.store_exclusive_lock = true;
-    if (!worker_runner.stats_path.empty()) {
-      worker_runner.stats_path = launch.partition_root + "/metrics.json";
+  auto worker_main = [&](const certa::service::WorkerLaunch& launch) {
+    // Each worker records into its own sinks and writes them into its
+    // partition: <job-root>/w<slot>/metrics.json and trace.json.
+    ObsSink worker_obs;
+    if (obs.metrics != nullptr) {
+      worker_obs.metrics = std::make_unique<certa::obs::MetricsRegistry>();
+      worker_obs.metrics_path = launch.partition_root + "/metrics.json";
     }
-
-    certa::persist::DirLock partition_lock;
-    std::string error;
-    if (!partition_lock.Acquire(launch.partition_root, &error)) {
-      std::cerr << "worker " << launch.slot << ": partition busy: " << error
-                << "\n";
-      return 1;
+    if (obs.trace != nullptr) {
+      worker_obs.trace = std::make_unique<certa::obs::TraceRecorder>();
+      worker_obs.trace_path = launch.partition_root + "/trace.json";
     }
-
-    // Shared stream directory, same discipline as the score store: this
-    // worker appends record ops to its own ops-w<slot>.wal and absorbs
-    // the siblings' streams read-only, so an upsert acked by any worker
-    // reaches every worker's overlays.
-    certa::service::StreamCoordinator coordinator;
-    if (!launch.stream_dir.empty()) {
-      certa::service::StreamCoordinator::Options stream_options;
-      stream_options.dir = launch.stream_dir;
-      stream_options.slot = launch.slot;
-      stream_options.metrics = worker_runner.metrics;
-      std::string stream_error;
-      if (!coordinator.Open(stream_options, &stream_error)) {
-        std::cerr << "worker " << launch.slot << ": cannot open stream dir "
-                  << launch.stream_dir << ": " << stream_error << "\n";
-        return 1;
-      }
-      worker_runner.dataset_provider =
-          [&coordinator](const certa::api::ExplainRequest& request,
-                         certa::data::Dataset* dataset,
-                         std::string* provider_error) {
-            return coordinator.ProvideDataset(request, dataset,
-                                              provider_error);
-          };
-    }
-
-    certa::net::NetServerOptions server_options;
-    server_options.host = host;
-    server_options.port = launch.listen_port;
-    server_options.max_connections = max_connections;
-    server_options.max_write_buffer = static_cast<size_t>(max_write_buffer);
-    server_options.reuse_port = launch.inherited_listen_fd < 0;
-    server_options.inherited_listen_fd = launch.inherited_listen_fd;
-    server_options.peer_job_roots = partitions;
-    server_options.stop_flag = certa::service::ShutdownFlag();
-    server_options.drain_on_stop_flag = false;
-    server_options.stream = coordinator.is_open() ? &coordinator : nullptr;
-    server_options.fleet_workers = fleet_workers;
-    server_options.runner = std::move(worker_runner);
-
-    certa::net::NetServer server(std::move(server_options));
-    if (!server.Start(&error)) {
-      std::cerr << "worker " << launch.slot << ": " << error << "\n";
-      return 1;
-    }
-
-    // Resume sweep: whatever a predecessor in this slot left parked on
-    // disk (crash or rolling restart) is re-admitted before READY.
-    const int resumed = server.runner().AdoptParked(launch.partition_root);
-    if (resumed > 0) {
-      std::cerr << "worker " << launch.slot << ": resuming " << resumed
-                << " parked job(s)\n";
-    }
-
-    certa::service::WorkerControl control(launch.control_fd,
-                                          stats_interval_ms);
-    control.SendReady(server.port());
-    certa::service::WorkerControl::Hooks hooks;
-    hooks.on_adopt = [&server, slot = launch.slot](const std::string& dir) {
-      const int adopted = server.runner().AdoptParked(dir);
-      std::cerr << "worker " << slot << ": adopted " << adopted
-                << " job(s) from " << dir << "\n";
-    };
-    hooks.on_fleet = [&server](const std::string& fleet_json) {
-      server.SetFleetStats(fleet_json);
-    };
-    hooks.stats_provider = [&server, slot = launch.slot] {
-      return WorkerStatsJson(slot, server.runner().counters(),
-                             server.stats(), server.runner().store());
-    };
-    control.Start(std::move(hooks));
-
-    server.Run();
-    control.Stop();
-    // Final checkpoint: the slot's successor replays only WAL tails.
-    coordinator.Close();
-
-    // DONE lines, one write per worker so concurrent drains don't
-    // interleave mid-line. A job that parked and then completed after
-    // adoption reports per-outcome here; the exit code judges only the
-    // latest state of each job this worker owned at the end.
-    std::string done;
-    bool any_parked = false;
-    std::map<std::string, certa::service::JobOutcome> latest;
-    for (const certa::service::JobOutcome& outcome :
-         server.runner().outcomes()) {
-      latest[outcome.job_id] = outcome;
-    }
-    for (const auto& [job_id, outcome] : latest) {
-      if (outcome.state == certa::service::JobState::kParked) {
-        any_parked = true;
-      }
-      done += "DONE " + job_id + " " +
-              std::string(certa::service::JobStateName(outcome.state)) +
-              " replayed=" + std::to_string(outcome.replayed_scores) +
-              " fresh=" + std::to_string(outcome.fresh_scores) +
-              " store=" + std::to_string(outcome.store_hits) +
-              " peer=" + std::to_string(outcome.store_peer_hits);
-      if (!outcome.error.empty()) done += " (" + outcome.error + ")";
-      done += "\n";
-    }
-    std::cout << done << std::flush;
-    return any_parked ? certa::service::kInterruptedExitCode : 0;
+    return ServeWorker(config, worker_obs, launch, partitions);
   };
 
   certa::service::Supervisor supervisor(std::move(sup));
@@ -919,203 +1025,21 @@ int ServeFleet(const Args& args,
     std::cerr << "error: " << error << "\n";
     return 1;
   }
-  std::cerr << "serve: fleet of " << runner_options.workers << " worker(s) on "
-            << host << ":" << supervisor.port() << " ("
+  std::cerr << "serve: fleet of " << config.runner.workers
+            << " worker(s) on " << config.host << ":" << supervisor.port()
+            << " ("
             << (supervisor.reuse_port_mode() ? "SO_REUSEPORT"
                                              : "inherited listener")
             << ")\n";
   return supervisor.Run();
 }
 
-/// Socket front-end: the same runner, behind `--listen PORT` speaking
-/// the docs/SERVICE.md line-delimited JSON protocol. A SIGINT/SIGTERM
-/// closes the listener, parks running jobs resumable, and exits with
-/// kInterruptedExitCode — identical drain semantics to the stdin loop.
-int ServeOverSocket(const Args& args,
-                    certa::service::JobRunnerOptions runner_options,
-                    const ObsSink& obs) {
-  certa::net::NetServerOptions options;
-  options.host = args.Get("host", "127.0.0.1");
-  int max_write_buffer = 0;
-  if (!ParseIntFlag(args, "listen", 0, 0, &options.port) ||
-      !ParseIntFlag(args, "max-connections", 64, 1,
-                    &options.max_connections) ||
-      !ParseIntFlag(args, "max-write-buffer", 1 << 20, 64,
-                    &max_write_buffer)) {
-    return 2;
-  }
-  options.max_write_buffer = static_cast<size_t>(max_write_buffer);
-  options.stop_flag = certa::service::ShutdownFlag();
-
-  // --stream-dir turns on the v2 streaming verbs: one coordinator owns
-  // the stream directory (slot 0 — single-process serving), the server
-  // routes upsert/remove/match/invalidations through it, and the
-  // runner's dataset hook materializes jobs from the live overlays so
-  // explanations see every acked record op.
-  certa::service::StreamCoordinator coordinator;
-  if (args.Has("stream-dir")) {
-    certa::service::StreamCoordinator::Options stream_options;
-    stream_options.dir = args.Get("stream-dir", "");
-    stream_options.slot = 0;
-    stream_options.metrics = obs.metrics.get();
-    std::string stream_error;
-    if (!coordinator.Open(stream_options, &stream_error)) {
-      std::cerr << "error: cannot open stream dir " << stream_options.dir
-                << ": " << stream_error << "\n";
-      return 1;
-    }
-    options.stream = &coordinator;
-    runner_options.dataset_provider =
-        [&coordinator](const certa::api::ExplainRequest& request,
-                       certa::data::Dataset* dataset, std::string* error) {
-          return coordinator.ProvideDataset(request, dataset, error);
-        };
-  }
-
-  options.runner = std::move(runner_options);
-  certa::net::NetServer server(std::move(options));
-  std::string error;
-  if (!server.Start(&error)) {
-    std::cerr << "error: " << error << "\n";
-    return 1;
-  }
-  // Machine-parseable (tests and scripts scrape the port when
-  // --listen 0 asked for an ephemeral one).
-  std::cout << "LISTENING " << args.Get("host", "127.0.0.1") << ":"
-            << server.port() << "\n"
-            << std::flush;
-  server.Run();
-  // Final checkpoint: the next serve replays only WAL tails.
-  coordinator.Close();
-
-  const bool interrupted = certa::service::ShutdownRequested();
-  for (const certa::service::JobOutcome& outcome :
-       server.runner().outcomes()) {
-    std::cout << "DONE " << outcome.job_id << " "
-              << certa::service::JobStateName(outcome.state)
-              << " replayed=" << outcome.replayed_scores
-              << " fresh=" << outcome.fresh_scores;
-    if (!outcome.error.empty()) std::cout << " (" << outcome.error << ")";
-    std::cout << "\n";
-  }
-  const certa::service::JobRunner::Counters counters =
-      server.runner().counters();
-  const certa::net::ServerStats net_stats = server.stats();
-  std::cerr << "serve: submitted=" << counters.submitted
-            << " accepted=" << counters.accepted
-            << " rejected_queue_full=" << counters.rejected_queue_full
-            << " rejected_deadline=" << counters.rejected_deadline
-            << " completed=" << counters.completed
-            << " parked=" << counters.parked
-            << " failed=" << counters.failed
-            << " connections=" << net_stats.connections_accepted
-            << " frames=" << net_stats.frames_in
-            << " events_dropped=" << net_stats.events_dropped << "\n";
-  if (!obs.Flush()) return 1;
-  return interrupted ? certa::service::kInterruptedExitCode : 0;
-}
-
-int CmdServe(const Args& args) {
-  certa::service::InstallShutdownHandlers();
-  int checkpoint_every = 0;
-  if (!ParseIntFlag(args, "checkpoint-every", 256, 1, &checkpoint_every)) {
-    return 2;
-  }
-
-  if (args.Has("resume")) {
-    const std::string job_dir = args.Get("resume", "");
-    certa::persist::JobCheckpoint checkpoint;
-    if (!certa::persist::LoadCheckpoint(
-            certa::persist::CheckpointPathInDir(job_dir), &checkpoint)) {
-      std::cerr << "error: no readable checkpoint in " << job_dir << "\n";
-      return 1;
-    }
-    if (checkpoint.state == "complete") {
-      std::cout << "job " << checkpoint.request.id
-                << " already complete; result at "
-                << certa::persist::ResultPathInDir(job_dir) << "\n";
-      return 0;
-    }
-    certa::service::DurableRunOptions run_options;
-    run_options.checkpoint_every = checkpoint_every;
-    run_options.cancel = certa::service::ShutdownFlag();
-    run_options.cancelled_state = "interrupted";
-    std::unique_ptr<certa::persist::ScoreStore> store =
-        OpenStoreFromArgs(args);
-    run_options.store = store.get();
-    run_options.use_candidate_index = !args.Has("no-index");
-    certa::service::JobOutcome outcome = certa::service::RunDurableExplain(
-        certa::service::SpecFromCheckpoint(checkpoint), job_dir, run_options);
-    if (store != nullptr) store->Sync();
-    if (outcome.state == certa::service::JobState::kFailed) {
-      std::cerr << "error: " << outcome.error << "\n";
-      return 1;
-    }
-    if (outcome.state == certa::service::JobState::kParked) {
-      std::cerr << "interrupted again: state flushed in " << outcome.job_dir
-                << "\n";
-      return certa::service::kInterruptedExitCode;
-    }
-    std::cout << "resumed job " << outcome.job_id << " to completion ("
-              << outcome.replayed_scores << " scores replayed, "
-              << outcome.fresh_scores << " fresh); result at "
-              << certa::persist::ResultPathInDir(outcome.job_dir) << "\n";
-    return 0;
-  }
-
-  certa::service::JobRunnerOptions options;
-  options.job_root = args.Get("job-root", "jobs");
-  int queue = 0;
-  if (!ParseIntFlag(args, "queue", 8, 1, &queue) ||
-      !ParseIntFlag(args, "workers", 1, 1, &options.workers) ||
-      !ParseIntFlag(args, "deadline-ms", 0LL, 0LL,
-                    &options.default_deadline_ms) ||
-      !ParseIntFlag(args, "stall-timeout-ms", 0LL, 0LL,
-                    &options.stall_timeout_ms) ||
-      !ParseIntFlag(args, "stats-every", 0, 0, &options.stats_every)) {
-    return 2;
-  }
-  options.queue_capacity = static_cast<size_t>(queue);
-  options.checkpoint_every = checkpoint_every;
-  options.store_dir = args.Get("store-dir", "");
-  options.use_candidate_index = !args.Has("no-index");
-  // Stats export: --stats-every N snapshots the registry after every N
-  // terminal jobs (and always once at shutdown); --metrics-out names
-  // the file (default <job-root>/metrics.json).
-  ObsSink obs;
-  obs.InitFromArgs(args);
-  if (options.stats_every > 0 && obs.metrics == nullptr) {
-    obs.metrics_path = options.job_root + "/metrics.json";
-    obs.metrics = std::make_unique<certa::obs::MetricsRegistry>();
-  }
-  options.metrics = obs.metrics.get();
-  options.trace = obs.trace.get();
-  options.stats_every = std::max(options.stats_every, 0);
-  options.stats_path = obs.metrics_path;
-
-  if (args.Has("listen") && options.workers >= 2) {
-    // Fleet mode forks per-worker processes; it takes its own root
-    // locks (a lock acquired here would conflict with the master's).
-    return ServeFleet(args, std::move(options));
-  }
-
-  // One serve process per job root: a second `certa serve` pointed at
-  // the same namespace fails fast instead of corrupting it.
-  certa::persist::DirLock job_root_lock;
-  std::string lock_error;
-  if (!job_root_lock.Acquire(options.job_root, &lock_error)) {
-    std::cerr << "error: job root " << options.job_root
-              << " is busy: " << lock_error << "\n";
-    return 1;
-  }
-  options.store_exclusive_lock = true;
-
-  if (args.Has("listen")) {
-    return ServeOverSocket(args, std::move(options), obs);
-  }
-
-  certa::service::JobRunner runner(options);
-
+/// `certa serve` without --listen: one ACCEPT/REJECT line per job line
+/// of stdin (or --jobs FILE), in input order, over a runner set up like
+/// every other serving process's. EOF drains; a signal parks running
+/// jobs with flushed state and exits 3.
+int ServeJobLines(const Args& args, const ServeConfig& config,
+                  const ObsSink& obs) {
   std::istream* in = &std::cin;
   std::ifstream jobs_file;
   if (args.Has("jobs")) {
@@ -1127,9 +1051,16 @@ int CmdServe(const Args& args) {
     }
     in = &jobs_file;
   }
+  const certa::service::WorkerLaunch launch = SingleProcessLaunch(config);
+  certa::persist::DirLock job_root_lock;
+  certa::service::JobRunnerOptions options;
+  if (!SetUpServeRunner(config, obs, launch, &job_root_lock, &options)) {
+    return 1;
+  }
+  certa::service::JobRunner runner(options);
+  ResumeSweep(&runner, launch);
 
-  // One ACCEPT/REJECT line per job line, in input order. '#' comments
-  // and blank lines are skipped.
+  // '#' comments and blank lines are skipped.
   std::string line;
   while (!certa::service::ShutdownRequested() && std::getline(*in, line)) {
     const std::string_view trimmed = certa::StripAsciiWhitespace(line);
@@ -1151,27 +1082,77 @@ int CmdServe(const Args& args) {
     }
   }
 
-  // EOF drains; a signal parks running jobs with flushed state instead.
   const bool interrupted = certa::service::ShutdownRequested();
   runner.Shutdown(/*drain=*/!interrupted);
-  for (const certa::service::JobOutcome& outcome : runner.outcomes()) {
-    std::cout << "DONE " << outcome.job_id << " "
-              << certa::service::JobStateName(outcome.state)
-              << " replayed=" << outcome.replayed_scores
-              << " fresh=" << outcome.fresh_scores;
-    if (!outcome.error.empty()) std::cout << " (" << outcome.error << ")";
-    std::cout << "\n";
-  }
-  const certa::service::JobRunner::Counters counters = runner.counters();
-  std::cerr << "serve: submitted=" << counters.submitted
-            << " accepted=" << counters.accepted
-            << " rejected_queue_full=" << counters.rejected_queue_full
-            << " rejected_deadline=" << counters.rejected_deadline
-            << " completed=" << counters.completed
-            << " parked=" << counters.parked
-            << " failed=" << counters.failed << "\n";
-  if (!obs.Flush()) return 1;
+  bool parked = false;
+  if (!FinishServe(runner, obs, ProcessLabel(launch), &parked)) return 1;
   return interrupted ? certa::service::kInterruptedExitCode : 0;
+}
+
+int CmdServe(const Args& args) {
+  if (args.Has("resume")) {
+    // One parked job dir: the checkpoint carries the whole spec, and
+    // the job runs through the same single-job path as
+    // `explain --job-dir`.
+    const std::string job_dir = args.Get("resume", "");
+    certa::persist::JobCheckpoint checkpoint;
+    if (!certa::persist::LoadCheckpoint(
+            certa::persist::CheckpointPathInDir(job_dir), &checkpoint)) {
+      std::cerr << "error: no readable checkpoint in " << job_dir << "\n";
+      return 1;
+    }
+    if (checkpoint.state == "complete") {
+      std::cout << "job " << checkpoint.request.id
+                << " already complete; result at "
+                << certa::persist::ResultPathInDir(job_dir) << "\n";
+      return 0;
+    }
+    return RunSingleJob(args, certa::service::SpecFromCheckpoint(checkpoint),
+                        job_dir);
+  }
+
+  ServeConfig config;
+  certa::service::JobRunnerOptions& options = config.runner;
+  options.job_root = args.Get("job-root", "jobs");
+  int queue = 0;
+  if (!ParseIntFlag(args, "checkpoint-every", 256, 1,
+                    &options.checkpoint_every) ||
+      !ParseIntFlag(args, "queue", 8, 1, &queue) ||
+      !ParseIntFlag(args, "workers", 1, 1, &options.workers) ||
+      !ParseIntFlag(args, "deadline-ms", 0LL, 0LL,
+                    &options.default_deadline_ms) ||
+      !ParseIntFlag(args, "stall-timeout-ms", 0LL, 0LL,
+                    &options.stall_timeout_ms) ||
+      !ParseIntFlag(args, "stats-every", 0, 0, &options.stats_every) ||
+      !ParseIntFlag(args, "listen", 0, 0, &config.port) ||
+      !ParseIntFlag(args, "max-connections", 64, 1,
+                    &config.max_connections) ||
+      !ParseIntFlag(args, "max-write-buffer", 1 << 20, 64,
+                    &config.max_write_buffer)) {
+    return 2;
+  }
+  options.queue_capacity = static_cast<size_t>(queue);
+  options.store_dir = args.Get("store-dir", "");
+  options.use_candidate_index = !args.Has("no-index");
+  config.host = args.Get("host", "127.0.0.1");
+  config.stream_dir = args.Get("stream-dir", "");
+  // Stats export: --stats-every N snapshots the registry after every N
+  // terminal jobs (and always once at shutdown); --metrics-out names
+  // the file (default <job-root>/metrics.json).
+  ObsSink obs;
+  obs.InitFromArgs(args);
+  if (options.stats_every > 0 && obs.metrics == nullptr) {
+    obs.metrics_path = options.job_root + "/metrics.json";
+    obs.metrics = std::make_unique<certa::obs::MetricsRegistry>();
+  }
+
+  if (!args.Has("listen")) return ServeJobLines(args, config, obs);
+  if (options.workers >= 2) {
+    // Fleet mode forks per-worker processes; the master takes the root
+    // locks itself and each worker locks its own partition.
+    return ServeFleet(args, std::move(config), obs);
+  }
+  return ServeWorker(config, obs, SingleProcessLaunch(config), {});
 }
 
 }  // namespace
